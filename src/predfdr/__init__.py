@@ -24,16 +24,10 @@ from .decision import (
     loss_eval,
 )
 from .predictive import (
-    DpPredictive,
-    MdpMixing,
     NigParams,
-    PyPredictive,
     StudentTPredictive,
-    dp_cdf,
-    mdp_new_prob,
     nig_update,
     posterior_predictive,
-    py_cdf,
     score,
     t_cdf,
 )
@@ -60,16 +54,10 @@ __all__ = [
     "c_algebra_inv",
     "expected_loss",
     "loss_eval",
-    "DpPredictive",
-    "MdpMixing",
     "NigParams",
-    "PyPredictive",
     "StudentTPredictive",
-    "dp_cdf",
-    "mdp_new_prob",
     "nig_update",
     "posterior_predictive",
-    "py_cdf",
     "score",
     "t_cdf",
     "DIFFUSE_PRIOR",

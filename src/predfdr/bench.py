@@ -82,33 +82,6 @@ class BenchReport:
                 )
         return out
 
-    def eta_buckets(self, n_buckets: int = 10) -> List[dict]:
-        """Mean run time bucketed by the returned threshold index."""
-        out = []
-        for k in self.spec.k_values:
-            edges = [int(round(k * i / n_buckets)) for i in range(n_buckets + 1)]
-            for method in _METHODS:
-                rs = [r for r in self.runs if r.method == method and r.k == k]
-                for bi in range(n_buckets):
-                    lo, hi = edges[bi], edges[bi + 1]
-                    bucket = [
-                        r.seconds
-                        for r in rs
-                        if r.eta_index >= 0 and lo <= r.eta_index < hi
-                    ]
-                    if bucket:
-                        out.append(
-                            {
-                                "method": method,
-                                "k": k,
-                                "index_lo": lo,
-                                "index_hi": hi,
-                                "n": len(bucket),
-                                "mean": sum(bucket) / len(bucket),
-                            }
-                        )
-        return out
-
     def median_seconds(self) -> dict:
         """(method, k) -> median run time; used for the scaling check."""
         out = {}

@@ -12,11 +12,9 @@ identical term vectors with identical pairwise reduction order.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Optional, Sequence
+from typing import Literal, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,7 +32,6 @@ __all__ = [
     "McFdrEstimate",
     "MomentDerivativeCheck",
     "moment_derivative_check",
-    "read_score_csv",
 ]
 
 Algorithm = Literal["looped", "vectorized"]
@@ -97,26 +94,6 @@ class ThresholdResult:
     eta: Optional[float]
     index: Optional[int]
     feasible: bool
-
-    def to_dict(self) -> dict:
-        return {"eta": self.eta, "index": self.index, "feasible": self.feasible}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ThresholdResult":
-        eta = d["eta"]
-        idx = d["index"]
-        return cls(
-            None if eta is None else float(eta),
-            None if idx is None else int(idx),
-            bool(d["feasible"]),
-        )
-
-    @classmethod
-    def from_json(cls, s: str) -> "ThresholdResult":
-        return cls.from_dict(json.loads(s))
 
 
 _INFEASIBLE = ThresholdResult(None, None, False)
@@ -301,19 +278,3 @@ def moment_derivative_check(
     deriv = (moment(q + step) - moment(q - step)) / (2.0 * step)
     return MomentDerivativeCheck(crit, deriv, step)
 
-
-def read_score_csv(path) -> ScoreBatch:
-    """Read a single-column CSV of scores (header optional)."""
-    values = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            cell = row[0].strip()
-            try:
-                values.append(float(cell))
-            except ValueError:
-                if values:
-                    raise
-                # tolerate a single header line
-    return ScoreBatch(values)

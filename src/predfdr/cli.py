@@ -12,19 +12,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bfdr import BfdrConfig
 from .bench import BenchSpec, reference_spec, run_bench, write_bench_csv
-from .pipeline import (
-    DIFFUSE_PRIOR,
-    DetectConfig,
-    detect,
-    lagged_scores,
-    write_report,
-    write_scores_csv,
-)
+from .pipeline import DetectConfig, detect, lagged_scores, write_report, write_scores_csv
 from .predictive import NigParams
 from .simgen import SimSpec, gen_data, load_matrix_csv, save_sim
 from .validation import run_checks
@@ -177,6 +168,13 @@ def _run_validate(config: dict) -> int:
     return 2 if failed else 0
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; every host CPU where affinity is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="predfdr", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -214,7 +212,7 @@ def build_parser() -> _Parser:
     p.add_argument("--orientation", choices=["null_score", "raw_score"], default="null_score")
     p.add_argument("--algorithm", choices=["looped", "vectorized"], default="vectorized")
     p.add_argument("--two-sided", action="store_true")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=_usable_cpus())
     p.add_argument("--from-manifest", default=None)
 
     p = sub.add_parser("bench", help="time the two selector implementations")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .bfdr import BfdrConfig, ScoreBatch, ThresholdResult, gbfdr
 from .decision import threshold_flags
-from .predictive import NigParams
+from .predictive import NigParams, _window_scores
 
 __all__ = [
     "DIFFUSE_PRIOR",
@@ -65,6 +65,18 @@ class DetectConfig:
             object.__setattr__(self, "baseline_etas", etas)
 
 
+def _run_chunked(work, lo: int, hi: int, threads: int) -> None:
+    """Call work(a, b) on contiguous chunks covering [lo, hi), one chunk per
+    thread; every chunk writes disjoint output columns."""
+    if threads <= 1:
+        work(lo, hi)
+        return
+    chunk = max(1, (hi - lo + threads - 1) // threads)
+    bounds = [(a, min(a + chunk, hi)) for a in range(lo, hi, chunk)]
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        list(ex.map(lambda b: work(*b), bounds))
+
+
 def lagged_scores(
     values: np.ndarray,
     prior: NigParams = DIFFUSE_PRIOR,
@@ -86,34 +98,13 @@ def lagged_scores(
     m, t_len = vals.shape
     if not 0 < lag < t_len:
         raise ValueError("lag must satisfy 0 < lag < t_len")
-    n = lag
-    nu_n = prior.nu + n
-    alpha_n = prior.alpha + n / 2.0
-    dof = 2.0 * alpha_n
     out = np.empty((m, t_len - lag))
 
     def work(t_lo: int, t_hi: int) -> None:
-        from .special import student_t_cdf
-
         for t in range(t_lo, t_hi):
-            win = vals[:, t - lag : t]
-            xbar = win.mean(axis=1)
-            ssd = ((win - xbar[:, None]) ** 2).sum(axis=1)
-            mu_n = (prior.nu * prior.mu0 + n * xbar) / nu_n
-            beta_n = prior.beta + 0.5 * ssd + (n * prior.nu / nu_n) * (xbar - prior.mu0) ** 2 / 2.0
-            scale = np.sqrt(beta_n * (nu_n + 1.0) / (nu_n * alpha_n))
-            z = (vals[:, t] - mu_n) / scale
-            f = student_t_cdf(z, dof)
-            out[:, t - lag] = np.abs(2.0 * f - 1.0) if two_sided else f
+            out[:, t - lag] = _window_scores(prior, vals[:, t - lag : t], vals[:, t], two_sided)
 
-    ts = range(lag, t_len)
-    if threads <= 1:
-        work(lag, t_len)
-    else:
-        chunk = max(1, (len(ts) + threads - 1) // threads)
-        bounds = [(lo, min(lo + chunk, t_len)) for lo in range(lag, t_len, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(lambda b: work(*b), bounds))
+    _run_chunked(work, lag, t_len, threads)
     return out
 
 
@@ -232,13 +223,7 @@ def detect(
                     r_col, res, cfg.c1, cfg.orientation
                 )
 
-    if threads <= 1:
-        work(0, nt)
-    else:
-        chunk = max(1, (nt + threads - 1) // threads)
-        bounds = [(lo, min(lo + chunk, nt)) for lo in range(0, nt, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(lambda b: work(*b), bounds))
+    _run_chunked(work, 0, nt, threads)
 
     eta_r = 1.0 - eta_s if cfg.orientation == "null_score" else eta_s.copy()
 

@@ -1,33 +1,27 @@
-"""Conjugate normal model with unknown mean and variance, plus the discrete
-nonparametric predictive families used for comparison.
+"""Conjugate normal model with unknown mean and variance.
 
 The central objects are the normal-inverse-gamma parameter vector, its closed
 form update under iid normal data, and the Student-t posterior predictive
-distribution whose CDF doubles as the outlier score.
+distribution whose CDF doubles as the outlier score.  Each formula is written
+once, on arrays whose last axis holds one window of observations, so the
+scalar API below and the rolling scorer share the same arithmetic.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .special import student_t_cdf
+from . import special
 
 __all__ = [
     "NigParams",
     "StudentTPredictive",
-    "DpPredictive",
-    "PyPredictive",
-    "MdpMixing",
     "nig_update",
     "posterior_predictive",
     "t_cdf",
     "score",
-    "dp_cdf",
-    "py_cdf",
-    "mdp_new_prob",
 ]
 
 
@@ -46,13 +40,6 @@ class NigParams:
         if self.nu <= 0.0 or self.alpha <= 0.0 or self.beta <= 0.0:
             raise ValueError("NigParams requires nu, alpha, beta > 0")
 
-    def to_dict(self) -> dict:
-        return {"mu0": self.mu0, "nu": self.nu, "alpha": self.alpha, "beta": self.beta}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NigParams":
-        return cls(float(d["mu0"]), float(d["nu"]), float(d["alpha"]), float(d["beta"]))
-
 
 @dataclass(frozen=True)
 class StudentTPredictive:
@@ -68,12 +55,40 @@ class StudentTPredictive:
         if self.scale <= 0.0 or not math.isfinite(self.scale):
             raise ValueError("StudentTPredictive requires finite scale > 0")
 
-    def to_dict(self) -> dict:
-        return {"dof": self.dof, "loc": self.loc, "scale": self.scale}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "StudentTPredictive":
-        return cls(float(d["dof"]), float(d["loc"]), float(d["scale"]))
+def _posterior(prior: NigParams, win: np.ndarray):
+    """Conjugate update of ``prior`` on each window along the last axis of
+    ``win``; returns (mu_n, nu_n, alpha_n, beta_n), the scalars shared by all
+    windows and the means and rates shaped ``win.shape[:-1]``."""
+    n = win.shape[-1]
+    xbar = win.mean(axis=-1)
+    ssd = ((win - xbar[..., None]) ** 2).sum(axis=-1)
+    nu_n = prior.nu + n
+    mu_n = (prior.nu * prior.mu0 + n * xbar) / nu_n
+    alpha_n = prior.alpha + n / 2.0
+    beta_n = prior.beta + 0.5 * ssd + (n * prior.nu / nu_n) * (xbar - prior.mu0) ** 2 / 2.0
+    return mu_n, nu_n, alpha_n, beta_n
+
+
+def _scale(nu, alpha, beta):
+    """Predictive scale: sqrt(beta * (nu + 1) / (nu * alpha))."""
+    return np.sqrt(beta * (nu + 1.0) / (nu * alpha))
+
+
+def _orient(f, two_sided: bool):
+    """Upper-tail score F, or |2F - 1| when two-sided."""
+    return abs(2.0 * f - 1.0) if two_sided else f
+
+
+def _window_scores(prior: NigParams, win: np.ndarray, x: np.ndarray, two_sided: bool):
+    """Score each x[...] against the predictive fitted on win[..., :].
+
+    The t-CDF is looked up on :mod:`predfdr.special` at call time, so a
+    replacement installed there (a tracer, a test double) sees every call.
+    """
+    mu_n, nu_n, alpha_n, beta_n = _posterior(prior, win)
+    z = (x - mu_n) / _scale(nu_n, alpha_n, beta_n)
+    return _orient(special.student_t_cdf(z, 2.0 * alpha_n), two_sided)
 
 
 def nig_update(prior: NigParams, data) -> NigParams:
@@ -84,21 +99,12 @@ def nig_update(prior: NigParams, data) -> NigParams:
     of the prior mean and the sample mean, and the rate absorbs both the
     within-sample scatter and the prior-to-sample mean discrepancy.
     """
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 1:
-        x = x.reshape(-1)
+    x = np.asarray(data, dtype=float).reshape(-1)
     if x.size == 0:
         return prior
     if not np.all(np.isfinite(x)):
         raise ValueError("nig_update requires finite observations")
-    n = x.size
-    xbar = float(x.mean())
-    ssd = float(np.sum((x - xbar) ** 2))
-    nu_n = prior.nu + n
-    mu_n = (prior.nu * prior.mu0 + n * xbar) / nu_n
-    alpha_n = prior.alpha + n / 2.0
-    beta_n = prior.beta + 0.5 * ssd + (n * prior.nu / nu_n) * (xbar - prior.mu0) ** 2 / 2.0
-    return NigParams(mu_n, nu_n, alpha_n, beta_n)
+    return NigParams(*(float(v) for v in _posterior(prior, x)))
 
 
 def posterior_predictive(post: NigParams) -> StudentTPredictive:
@@ -106,13 +112,14 @@ def posterior_predictive(post: NigParams) -> StudentTPredictive:
 
     dof = 2*alpha, loc = mu0, scale^2 = beta*(nu + 1)/(nu*alpha).
     """
-    scale = math.sqrt(post.beta * (post.nu + 1.0) / (post.nu * post.alpha))
-    return StudentTPredictive(2.0 * post.alpha, post.mu0, scale)
+    return StudentTPredictive(
+        2.0 * post.alpha, post.mu0, float(_scale(post.nu, post.alpha, post.beta))
+    )
 
 
 def t_cdf(pred: StudentTPredictive, x):
     """CDF of the predictive distribution at x (scalar or array)."""
-    return student_t_cdf(x, pred.dof, pred.loc, pred.scale)
+    return special.student_t_cdf(x, pred.dof, pred.loc, pred.scale)
 
 
 def score(pred: StudentTPredictive, x_star, two_sided: bool = False):
@@ -123,119 +130,4 @@ def score(pred: StudentTPredictive, x_star, two_sided: bool = False):
     at ``x_star``.  With ``two_sided=True`` the score is |2F - 1|, large when
     the observation sits in either tail.
     """
-    f = t_cdf(pred, x_star)
-    if two_sided:
-        return np.abs(2.0 * np.asarray(f) - 1.0) if not np.isscalar(f) else abs(2.0 * f - 1.0)
-    return f
-
-
-@dataclass(frozen=True)
-class DpPredictive:
-    """Dirichlet process predictive state: concentration, base CDF, dataseen.
-
-    ``base_cdf`` must be a proper CDF (nondecreasing, limits 0 and 1);
-    that property is the caller's responsibility.
-    """
-
-    concentration: float
-    base_cdf: Callable[[float], float]
-    observations: tuple
-
-    def __post_init__(self) -> None:
-        if self.concentration <= 0.0:
-            raise ValueError("DpPredictive requires concentration > 0")
-        object.__setattr__(self, "observations", tuple(float(v) for v in self.observations))
-
-
-def dp_cdf(pred: DpPredictive, x: float) -> float:
-    """Predictive CDF: base mass plus empirical mass, normalised by alpha + n."""
-    n = len(pred.observations)
-    le = sum(1 for v in pred.observations if v <= x)
-    return (pred.concentration * pred.base_cdf(x) + le) / (pred.concentration + n)
-
-
-@dataclass(frozen=True)
-class PyPredictive:
-    """Pitman-Yor predictive state over the observed unique values.
-
-    Admissible parameter regimes: 0 <= discount <= 1 with strength > -discount,
-    or discount < 0 with strength equal to a positive integer multiple of
-    |discount|.
-    """
-
-    discount: float
-    strength: float
-    base_cdf: Callable[[float], float]
-    unique_values: tuple
-    counts: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "unique_values", tuple(float(v) for v in self.unique_values))
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if len(self.unique_values) != len(self.counts):
-            raise ValueError("unique_values and counts must have equal length")
-        if any(c <= 0 for c in self.counts):
-            raise ValueError("counts must be positive")
-        d, s = self.discount, self.strength
-        if 0.0 <= d <= 1.0:
-            if s <= -d:
-                raise ValueError("strength must exceed -discount")
-        elif d < 0.0:
-            ratio = s / abs(d)
-            if s <= 0.0 or abs(ratio - round(ratio)) > 1e-12 or round(ratio) < 1:
-                raise ValueError(
-                    "negative discount requires strength = m*|discount| for integer m >= 1"
-                )
-        else:
-            raise ValueError("discount must be <= 1")
-
-
-def py_cdf(pred: PyPredictive, x: float) -> float:
-    """Pitman-Yor predictive CDF: discounted atom masses plus leftover base mass."""
-    n = sum(pred.counts)
-    kk = len(pred.unique_values)
-    denom = pred.strength + n
-    base_w = (pred.strength + pred.discount * kk) / denom
-    atom = sum(
-        (c - pred.discount) / denom
-        for v, c in zip(pred.unique_values, pred.counts)
-        if v <= x
-    )
-    return base_w * pred.base_cdf(x) + atom
-
-
-@dataclass(frozen=True)
-class MdpMixing:
-    """Finite mixture over Dirichlet-process concentration values."""
-
-    atoms: tuple  # of (concentration, weight)
-
-    def __post_init__(self) -> None:
-        atoms = tuple((float(t), float(w)) for t, w in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
-        if not atoms:
-            raise ValueError("MdpMixing requires at least one atom")
-        if any(t <= 0.0 for t, _ in atoms):
-            raise ValueError("concentrations must be positive")
-        if any(w < 0.0 for _, w in atoms):
-            raise ValueError("weights must be nonnegative")
-        if abs(sum(w for _, w in atoms) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
-
-
-def _log_rising(theta: float, n: int) -> float:
-    # ascending factorial (theta)_n in log space
-    return math.lgamma(theta + n) - math.lgamma(theta)
-
-
-def mdp_new_prob(mix: MdpMixing, n: int, k: int) -> float:
-    """Probability that k of the first n draws started new clusters, mixed
-    over the concentration prior: sum_w w * theta^k / (theta)_n."""
-    if k > n:
-        raise ValueError("k must not exceed n")
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
-    total = 0.0
-    for theta, w in mix.atoms:
-        total += w * math.exp(k * math.log(theta) - _log_rising(theta, n))
-    return total
+    return _orient(t_cdf(pred, x_star), two_sided)

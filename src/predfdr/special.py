@@ -63,7 +63,7 @@ def _beta_cont_frac(a: float, b: float, x: np.ndarray) -> np.ndarray:
 
 def _betainc_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
+    out = np.full_like(x, np.nan)  # NaN lanes stay NaN
     out[x <= 0.0] = 0.0
     out[x >= 1.0] = 1.0
     interior = (x > 0.0) & (x < 1.0)
@@ -91,7 +91,8 @@ def betainc(a: float, b: float, x):
     a, b : float
         Positive shape parameters.
     x : float or array_like
-        Evaluation points in [0, 1].
+        Evaluation points in [0, 1]; NaN is rejected like any other
+        point outside it.
 
     Returns
     -------
@@ -101,7 +102,7 @@ def betainc(a: float, b: float, x):
     if a <= 0.0 or b <= 0.0:
         raise ValueError("betainc requires a > 0 and b > 0")
     arr = np.asarray(x, dtype=float)
-    if np.any((arr < 0.0) | (arr > 1.0)):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also rejects NaN
         raise ValueError("betainc requires 0 <= x <= 1")
     out = _betainc_array(a, b, arr)
     if np.isscalar(x) or arr.ndim == 0:
@@ -115,7 +116,7 @@ def student_t_cdf(x, dof: float, loc: float = 0.0, scale: float = 1.0):
     Evaluated through the regularized incomplete beta function.  The beta
     argument is always formed on its small side, so no precision is lost to
     cancellation near the centre or in the far tails, and F(x) + F(2*loc - x)
-    == 1 holds to machine precision.
+    == 1 holds to machine precision.  NaN entries of ``x`` give NaN.
     """
     if dof <= 0.0:
         raise ValueError("student_t_cdf requires dof > 0")

@@ -72,17 +72,6 @@ def test_median_seconds_keys():
     assert all(v > 0.0 for v in med.values())
 
 
-def test_eta_buckets_partition():
-    rep = run_bench(tiny_spec(replications=30, k_values=(40,)))
-    rows = rep.eta_buckets(n_buckets=4)
-    for method in ("looped", "vectorized"):
-        n_bucketed = sum(r["n"] for r in rows if r["method"] == method)
-        n_feasible = sum(
-            1 for r in rep.runs if r.method == method and r.eta_index >= 0
-        )
-        assert n_bucketed == n_feasible
-
-
 def test_write_bench_csv(tmp_path):
     rep = run_bench(tiny_spec())
     paths = write_bench_csv(rep, tmp_path)

@@ -13,7 +13,6 @@ from predfdr.bfdr import (
     gbfdr_vectorized,
     mc_fdr_inverse,
     moment_derivative_check,
-    read_score_csv,
 )
 
 
@@ -51,13 +50,6 @@ def test_bfdr_config_validation():
         BfdrConfig(q=0.1, k=0)
     with pytest.raises(ValueError):
         BfdrConfig(q=0.1, algorithm="magic")
-
-
-def test_threshold_result_json_roundtrip():
-    res = ThresholdResult(0.4, 4, True)
-    assert ThresholdResult.from_json(res.to_json()) == res
-    infeasible = ThresholdResult(None, None, False)
-    assert ThresholdResult.from_json(infeasible.to_json()) == infeasible
 
 
 # ------------------------------------------------------------- frozen cases
@@ -236,23 +228,3 @@ def test_moment_derivative_step_shrinks_near_kink():
     )
     assert chk.step == pytest.approx(5e-9)
     assert chk.derivative / chk.criterion == pytest.approx(-2.0, rel=1e-4)
-
-
-# ------------------------------------------------------------------- IO
-
-
-def test_read_score_csv(tmp_path):
-    p = tmp_path / "scores.csv"
-    p.write_text("score\n0.1\n0.9\n0.5\n")
-    batch = read_score_csv(p)
-    assert np.array_equal(batch.scores, [0.1, 0.9, 0.5])
-    bare = tmp_path / "bare.csv"
-    bare.write_text("0.25\n0.75\n")
-    assert np.array_equal(read_score_csv(bare).scores, [0.25, 0.75])
-
-
-def test_read_score_csv_rejects_mid_file_garbage(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("0.1\nnot_a_number\n0.2\n")
-    with pytest.raises(ValueError):
-        read_score_csv(p)

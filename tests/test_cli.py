@@ -1,10 +1,11 @@
 """Command line surface: grid parsing, subcommand runs, manifests, exit codes."""
 import json
+import os
 
 import numpy as np
 import pytest
 
-from predfdr.cli import main, parse_level_grid
+from predfdr.cli import build_parser, main, parse_level_grid
 
 
 def run_simulate(out, extra=()):
@@ -181,6 +182,15 @@ def test_detect_mismatched_truth_shape(tmp_path):
     argv = detect_argv(sim, tmp_path / "det")
     argv[argv.index("--truth") + 1] = str(other / "truth.csv")
     assert main(argv) == 1
+
+
+def test_detect_threads_default_follows_affinity(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert build_parser().parse_args(["detect"]).threads == 1
+    # where affinity is unknown, every host CPU counts
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert build_parser().parse_args(["detect"]).threads == 8
 
 
 # -------------------------------------------------------------------- bench

@@ -30,17 +30,19 @@ def panel():
 
 
 def test_lagged_scores_match_composed_route(panel):
-    lag = 8
-    scores = lagged_scores(panel.values, DIFFUSE_PRIOR, lag)
-    assert scores.shape == (12, 52)
-    worst = 0.0
-    for j in range(12):
-        for ti in range(52):
-            t = lag + ti
-            post = nig_update(DIFFUSE_PRIOR, panel.values[j, t - lag : t])
-            expect = score(posterior_predictive(post), panel.values[j, t])
-            worst = max(worst, abs(scores[j, ti] - expect))
-    assert worst < 1e-12
+    # the rolling scorer and the scalar API share one kernel, so they agree
+    # to the last bit
+    for lag, two_sided in ((8, False), (8, True), (30, False), (30, True)):
+        scores = lagged_scores(panel.values, DIFFUSE_PRIOR, lag, two_sided=two_sided)
+        assert scores.shape == (12, 60 - lag)
+        expect = np.empty_like(scores)
+        for j in range(12):
+            for ti in range(60 - lag):
+                t = lag + ti
+                post = nig_update(DIFFUSE_PRIOR, panel.values[j, t - lag : t])
+                pred = posterior_predictive(post)
+                expect[j, ti] = score(pred, panel.values[j, t], two_sided=two_sided)
+        assert np.array_equal(scores, expect), (lag, two_sided)
 
 
 def test_lagged_scores_window_excludes_current():

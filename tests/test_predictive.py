@@ -1,27 +1,17 @@
-"""Conjugate update, posterior predictive, and the discrete predictive families."""
+"""Conjugate update, posterior predictive, and outlier scores."""
 import math
 
 import numpy as np
 import pytest
 
 from predfdr.predictive import (
-    DpPredictive,
-    MdpMixing,
     NigParams,
-    PyPredictive,
     StudentTPredictive,
-    dp_cdf,
-    mdp_new_prob,
     nig_update,
     posterior_predictive,
-    py_cdf,
     score,
     t_cdf,
 )
-
-
-def uniform_cdf(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------- NIG update
@@ -58,11 +48,6 @@ def test_nig_params_validation():
         NigParams(0.0, 1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         NigParams(math.inf, 1.0, 1.0, 1.0)
-
-
-def test_nig_params_dict_roundtrip():
-    p = NigParams(0.3, 1.5, 2.5, 0.7)
-    assert NigParams.from_dict(p.to_dict()) == p
 
 
 def test_sequential_equals_batch_update():
@@ -132,8 +117,6 @@ def test_student_t_predictive_validation():
         StudentTPredictive(0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         StudentTPredictive(2.0, 0.0, 0.0)
-    p = StudentTPredictive(3.0, 1.0, 2.0)
-    assert StudentTPredictive.from_dict(p.to_dict()) == p
 
 
 def test_predictive_cdf_monte_carlo_oracle():
@@ -173,113 +156,3 @@ def test_score_array_input():
     two = score(pred, xs, two_sided=True)
     assert one.shape == xs.shape
     assert np.allclose(two, np.abs(2.0 * one - 1.0))
-
-
-# ----------------------------------------------- discrete predictive families
-
-
-def test_dp_cdf_hand_example():
-    pred = DpPredictive(1.0, uniform_cdf, (0.2, 0.8))
-    # (1 * 0.5 + 1 observation <= 0.5) / (1 + 2)
-    assert dp_cdf(pred, 0.5) == pytest.approx(0.5, abs=1e-15)
-    assert dp_cdf(pred, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert dp_cdf(pred, -0.1) == 0.0
-
-
-def test_dp_cdf_no_data_is_base():
-    pred = DpPredictive(3.0, uniform_cdf, ())
-    for x in (0.1, 0.6, 0.9):
-        assert dp_cdf(pred, x) == pytest.approx(uniform_cdf(x), abs=1e-15)
-
-
-def test_dp_cdf_concentration_limits():
-    # small concentration -> empirical CDF; large -> base CDF
-    obs = (0.25, 0.25, 0.9)
-    tiny = DpPredictive(1e-9, uniform_cdf, obs)
-    huge = DpPredictive(1e9, uniform_cdf, obs)
-    assert dp_cdf(tiny, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-8)
-    assert dp_cdf(huge, 0.5) == pytest.approx(0.5, abs=1e-8)
-
-
-def test_dp_validation():
-    with pytest.raises(ValueError):
-        DpPredictive(0.0, uniform_cdf, ())
-
-
-def test_py_cdf_hand_example():
-    # discount 0, strength 1, one atom at 0.3: 0.5 * G0(0.5) + 0.5 = 0.75
-    pred = PyPredictive(0.0, 1.0, uniform_cdf, (0.3,), (1,))
-    assert py_cdf(pred, 0.5) == pytest.approx(0.75, abs=1e-15)
-    assert py_cdf(pred, 0.2) == pytest.approx(0.1, abs=1e-15)
-    assert py_cdf(pred, 1.0) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_py_zero_discount_matches_dp():
-    obs = (0.1, 0.4, 0.4, 0.7)
-    dp = DpPredictive(2.0, uniform_cdf, obs)
-    py = PyPredictive(0.0, 2.0, uniform_cdf, (0.1, 0.4, 0.7), (1, 2, 1))
-    for x in np.linspace(0.0, 1.0, 21):
-        assert py_cdf(py, float(x)) == pytest.approx(dp_cdf(dp, float(x)), abs=1e-14)
-
-
-def test_py_discount_shifts_mass_to_base():
-    base_heavy = PyPredictive(0.9, 1.0, uniform_cdf, (0.2,), (5,))
-    atom_heavy = PyPredictive(0.0, 1.0, uniform_cdf, (0.2,), (5,))
-    # same data; larger discount moves mass from the atom to the base measure
-    assert py_cdf(base_heavy, 0.21) < py_cdf(atom_heavy, 0.21)
-
-
-def test_py_parameter_regimes():
-    PyPredictive(0.5, -0.4, uniform_cdf, (), ())  # strength > -discount
-    PyPredictive(-0.5, 1.0, uniform_cdf, (), ())  # m = 2 multiple
-    with pytest.raises(ValueError):
-        PyPredictive(0.5, -0.6, uniform_cdf, (), ())
-    with pytest.raises(ValueError):
-        PyPredictive(-0.5, 0.3, uniform_cdf, (), ())
-    with pytest.raises(ValueError):
-        PyPredictive(1.5, 1.0, uniform_cdf, (), ())
-    with pytest.raises(ValueError):
-        PyPredictive(0.0, 1.0, uniform_cdf, (0.1,), (1, 2))
-    with pytest.raises(ValueError):
-        PyPredictive(0.0, 1.0, uniform_cdf, (0.1,), (0,))
-
-
-def test_mdp_new_prob_single_atom_oracle():
-    # direct product route: theta^k / prod_{i<n} (theta + i)
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        theta = float(rng.uniform(0.1, 8.0))
-        n = int(rng.integers(1, 12))
-        k = int(rng.integers(0, n + 1))
-        denom = 1.0
-        for i in range(n):
-            denom *= theta + i
-        expect = theta**k / denom
-        got = mdp_new_prob(MdpMixing(((theta, 1.0),)), n, k)
-        assert got == pytest.approx(expect, rel=1e-12)
-
-
-def test_mdp_new_prob_mixes_linearly():
-    mix = MdpMixing(((0.5, 0.25), (2.0, 0.75)))
-    lone_a = mdp_new_prob(MdpMixing(((0.5, 1.0),)), 5, 2)
-    lone_b = mdp_new_prob(MdpMixing(((2.0, 1.0),)), 5, 2)
-    assert mdp_new_prob(mix, 5, 2) == pytest.approx(0.25 * lone_a + 0.75 * lone_b, rel=1e-14)
-
-
-def test_mdp_new_prob_frozen():
-    # theta=1: (1)_3 = 6, so k new clusters among 3 draws has kernel 1/6
-    assert mdp_new_prob(MdpMixing(((1.0, 1.0),)), 3, 2) == pytest.approx(1.0 / 6.0, rel=1e-14)
-    assert mdp_new_prob(MdpMixing(((1.0, 1.0),)), 0, 0) == pytest.approx(1.0)
-
-
-def test_mdp_validation():
-    with pytest.raises(ValueError):
-        MdpMixing(())
-    with pytest.raises(ValueError):
-        MdpMixing(((0.0, 1.0),))
-    with pytest.raises(ValueError):
-        MdpMixing(((1.0, 0.5), (2.0, 0.2)))  # weights must sum to 1
-    with pytest.raises(ValueError):
-        mdp_new_prob(MdpMixing(((1.0, 1.0),)), 2, 3)
-    with pytest.raises(ValueError):
-        mdp_new_prob(MdpMixing(((1.0, 1.0),)), -1, 0)

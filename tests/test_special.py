@@ -68,6 +68,13 @@ def test_betainc_domain_errors():
         betainc(1.0, 1.0, -0.1)
 
 
+def test_betainc_rejects_nan():
+    with pytest.raises(ValueError):
+        betainc(2.0, 3.0, math.nan)
+    with pytest.raises(ValueError):
+        betainc(2.0, 3.0, np.array([0.2, np.nan, 0.7]))
+
+
 def test_t_cdf_cauchy_quartiles():
     # dof=1 is Cauchy: F(0)=1/2, F(1)=3/4, F(-1)=1/4
     assert student_t_cdf(0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
@@ -150,6 +157,30 @@ def test_t_cdf_scalar_and_array_agree():
     arr = student_t_cdf(xs, 7.0, loc=0.5, scale=1.5)
     for i, x in enumerate(xs):
         assert arr[i] == student_t_cdf(float(x), 7.0, loc=0.5, scale=1.5)
+
+
+def test_t_cdf_nan_in_nan_out(monkeypatch):
+    # NaN lanes must come out NaN, never as whatever an output buffer held.
+    # The heap mostly recycles a buffer that already holds NaN in the same
+    # lanes, so fresh buffers are poisoned with a finite value to make an
+    # unwritten lane show on every call.
+    empty_like = np.empty_like
+
+    def poisoned(*args, **kwargs):
+        out = empty_like(*args, **kwargs)
+        out.fill(0.25)
+        return out
+
+    monkeypatch.setattr(np, "empty_like", poisoned)
+    rng = np.random.default_rng(17)
+    x = rng.standard_t(7.0, size=8192) * 3.0
+    nan = rng.random(x.size) < 0.3
+    x[nan] = np.nan
+    for _ in range(50):
+        got = student_t_cdf(x, 7.0)
+        assert np.isnan(got[nan]).all()
+        assert np.isfinite(got[~nan]).all()
+    assert math.isnan(student_t_cdf(math.nan, 7.0))
 
 
 def test_t_cdf_parameter_errors():
