@@ -9,6 +9,7 @@ from .bfdr import (
     ThresholdResult,
     classic_bfdr,
     gbfdr,
+    gbfdr_changepoint,
     gbfdr_looped,
     gbfdr_vectorized,
     mc_fdr_inverse,
@@ -43,6 +44,7 @@ __all__ = [
     "ThresholdResult",
     "classic_bfdr",
     "gbfdr",
+    "gbfdr_changepoint",
     "gbfdr_looped",
     "gbfdr_vectorized",
     "mc_fdr_inverse",

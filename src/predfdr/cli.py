@@ -17,7 +17,7 @@ from .bfdr import BfdrConfig
 from .bench import BenchSpec, reference_spec, run_bench, write_bench_csv
 from .pipeline import DetectConfig, detect, lagged_scores, write_report, write_scores_csv
 from .predictive import NigParams
-from .simgen import SimSpec, gen_data, load_matrix_csv, save_sim
+from .simgen import SimSpec, as_truth, gen_data, load_matrix_csv, save_sim
 from .validation import run_checks
 
 OUT_ENV = "PREDFDR_OUT"
@@ -95,31 +95,36 @@ def _run_simulate(config: dict) -> int:
 
 def _run_detect(config: dict) -> int:
     out = Path(config["out"])
-    values = load_matrix_csv(config["data"])
-    truth = None
-    if config["truth"]:
-        truth = load_matrix_csv(config["truth"]).astype(bool)
-        if truth.shape != values.shape:
-            raise ValueError("truth matrix must match data shape")
-    else:
-        print("no truth supplied; metrics.csv and diff.csv will be skipped", file=sys.stderr)
     lag = config["lag"]
     prior = NigParams(*config["prior"])
     qs = config["q_values"]
-    scores = lagged_scores(
-        values, prior, lag, two_sided=config["two_sided"], threads=config["threads"]
-    )
+    if not qs:
+        raise ValueError("--q-grid gives no levels")
     base = (
         None
         if config["baseline_etas"] == "match"
         else tuple(parse_level_grid(config["baseline_etas"]))
     )
     cfg = DetectConfig(
-        bfdr=BfdrConfig(q=qs[0], a=config["a"], k=config["k"], algorithm=config["algorithm"]),
+        bfdr=BfdrConfig(q=qs[0], a=config["a"], k=config["k"]),
         prior=prior,
         c1=config["c1"],
         baseline_etas=base,
         orientation=config["orientation"],
+    )
+    # every level's selector settings are checked before any input is read
+    cfg.levels(qs)
+    values = load_matrix_csv(config["data"])
+    truth = None
+    if config["truth"]:
+        truth = load_matrix_csv(config["truth"])
+        if truth.shape != values.shape:
+            raise ValueError("truth matrix must match data shape")
+        truth = as_truth(truth, config["truth"])
+    else:
+        print("no truth supplied; metrics.csv and diff.csv will be skipped", file=sys.stderr)
+    scores = lagged_scores(
+        values, prior, lag, two_sided=config["two_sided"], threads=config["threads"]
     )
     truth_aligned = truth[:, lag:] if truth is not None else None
     report = detect(
@@ -210,7 +215,6 @@ def build_parser() -> _Parser:
     p.add_argument("--c1", type=float, default=0.0)
     p.add_argument("--baseline-etas", default="match", help="'match' or a grid spec")
     p.add_argument("--orientation", choices=["null_score", "raw_score"], default="null_score")
-    p.add_argument("--algorithm", choices=["looped", "vectorized"], default="vectorized")
     p.add_argument("--two-sided", action="store_true")
     p.add_argument("--threads", type=int, default=_usable_cpus())
     p.add_argument("--from-manifest", default=None)
@@ -266,7 +270,6 @@ def _config_from_args(args: argparse.Namespace) -> dict:
             "c1": args.c1,
             "baseline_etas": args.baseline_etas,
             "orientation": args.orientation,
-            "algorithm": args.algorithm,
             "two_sided": bool(args.two_sided),
             "threads": args.threads,
         }

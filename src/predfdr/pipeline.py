@@ -11,7 +11,7 @@ import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +63,11 @@ class DetectConfig:
             if any(not 0.0 < e < 1.0 for e in etas):
                 raise ValueError("baseline etas must lie in (0, 1)")
             object.__setattr__(self, "baseline_etas", etas)
+
+    def levels(self, q_values: Optional[Sequence[float]] = None) -> List[BfdrConfig]:
+        """One selector config per level; ``bfdr.q`` alone when no grid is given."""
+        qs = q_values if q_values is not None else [self.bfdr.q]
+        return [replace(self.bfdr, q=float(q)) for q in qs]
 
 
 def _run_chunked(work, lo: int, hi: int, threads: int) -> None:
@@ -201,7 +206,8 @@ def detect(
         truth = np.asarray(truth).astype(bool)
         if truth.shape != r.shape:
             raise ValueError("truth must align with scores")
-    qs = tuple(float(q) for q in (q_values if q_values is not None else [cfg.bfdr.q]))
+    levels = cfg.levels(q_values)
+    qs = tuple(level.q for level in levels)
     etas = cfg.baseline_etas if cfg.baseline_etas is not None else qs
     nq, nb = len(qs), len(etas)
 
@@ -214,8 +220,8 @@ def detect(
         for ti in range(ti_lo, ti_hi):
             batch = ScoreBatch(sel_input[:, ti])
             r_col = r[:, ti]
-            for qi, q in enumerate(qs):
-                res = gbfdr(batch, replace(cfg.bfdr, q=q))
+            for qi, level in enumerate(levels):
+                res = gbfdr(batch, level)
                 if res.feasible:
                     eta_s[qi, ti] = res.eta
                     feasible[qi, ti] = True

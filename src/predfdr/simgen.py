@@ -13,7 +13,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -161,12 +161,49 @@ def save_sim(data: SimData, out_dir) -> dict:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    """Read a headered CSV matrix written by save_sim."""
+    """Read a headered CSV matrix written by save_sim.
+
+    Trailing empty lines are ignored.  A ragged row or a cell that is not a
+    number is reported by its row and column; rows are counted from 1 below
+    the header, columns from 1.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    while rows and not rows[-1]:
+        rows.pop()
     if not rows:
         raise ValueError(f"empty CSV: {path}")
-    return np.array([[float(c) for c in row] for row in rows[1:]])
+    body = rows[1:]
+    try:
+        return np.array([[float(c) for c in row] for row in body])
+    except ValueError as exc:
+        # located only once the fast parse has failed
+        raise ValueError(f"{path}: {_first_bad_cell(body, len(rows[0])) or exc}") from None
+
+
+def _first_bad_cell(body: list, width: int) -> Optional[str]:
+    for r, row in enumerate(body, start=1):
+        for c, cell in enumerate(row, start=1):
+            try:
+                float(cell)
+            except ValueError:
+                return f"row {r}, column {c}: {cell!r} is not a number"
+        if len(row) != width:
+            return (
+                f"row {r}, column {min(len(row), width) + 1}: row has {len(row)} "
+                f"cells, the header has {width}"
+            )
+    return None
+
+
+def as_truth(mat: np.ndarray, path) -> np.ndarray:
+    """Truth matrix as booleans; every cell must be 0 or 1."""
+    bad = (mat != 0.0) & (mat != 1.0)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        cell = float(mat[r, c])
+        raise ValueError(f"{path}: row {r + 1}, column {c + 1}: {cell!r} is not 0 or 1")
+    return mat.astype(bool)
 
 
 def load_sim(sim_dir) -> SimData:
@@ -174,6 +211,6 @@ def load_sim(sim_dir) -> SimData:
     d = Path(sim_dir)
     spec = SimSpec.from_dict(json.loads((d / "simspec.json").read_text()))
     values = load_matrix_csv(d / "data.csv")
-    truth = load_matrix_csv(d / "truth.csv").astype(bool)
+    truth = as_truth(load_matrix_csv(d / "truth.csv"), d / "truth.csv")
     mu, sd_in, sd_out = gen_signal(spec)
     return SimData(spec, values, truth, mu, sd_in, sd_out)

@@ -16,6 +16,7 @@ from .bfdr import (
     BfdrConfig,
     ScoreBatch,
     classic_bfdr,
+    gbfdr_changepoint,
     gbfdr_looped,
     gbfdr_vectorized,
     mc_fdr_inverse,
@@ -45,12 +46,17 @@ def _check_selector_equivalence(rng, n_batches: int) -> CheckResult:
         cfg = BfdrConfig(q=q, a=a, k=k)
         batch = ScoreBatch(s)
         r1 = gbfdr_looped(batch, cfg)
-        r2 = gbfdr_vectorized(batch, cfg)
-        if (r1.index, r1.feasible) != (r2.index, r2.feasible):
-            return CheckResult(
-                "selector_equivalence", False, f"mismatch on batch {i}: {r1} vs {r2}"
-            )
-    return CheckResult("selector_equivalence", True, f"{n_batches} batches identical")
+        for route in (gbfdr_vectorized, gbfdr_changepoint):
+            r2 = route(batch, cfg)
+            if r2 != r1:
+                return CheckResult(
+                    "selector_equivalence",
+                    False,
+                    f"mismatch on batch {i}: looped {r1} vs {route.__name__} {r2}",
+                )
+    return CheckResult(
+        "selector_equivalence", True, f"{n_batches} batches identical across 3 routes"
+    )
 
 def _check_classic_reduction(rng, n_batches: int) -> CheckResult:
     for i in range(n_batches):

@@ -16,6 +16,7 @@ from predfdr.bfdr import (
     BfdrConfig,
     ScoreBatch,
     classic_bfdr,
+    gbfdr_changepoint,
     gbfdr_looped,
     gbfdr_vectorized,
     mc_fdr_inverse,
@@ -35,7 +36,8 @@ def result_tuple(res):
 
 
 def test_criterion_1_selector_routes_identical():
-    """Looped and vectorised selectors agree exactly on 1000+ random batches."""
+    """Looped, vectorised and change-point selectors agree exactly on 1000+
+    random batches."""
     rng = np.random.default_rng(SEED)
     combos = [
         (m, a, q, k)
@@ -53,7 +55,9 @@ def test_criterion_1_selector_routes_identical():
             cfg = BfdrConfig(q=q, a=a, k=k)
             rl = gbfdr_looped(batch, cfg)
             rv = gbfdr_vectorized(batch, cfg)
+            rc = gbfdr_changepoint(batch, cfg)
             assert result_tuple(rl) == result_tuple(rv), (m, a, q, k)
+            assert result_tuple(rl) == result_tuple(rc), (m, a, q, k)
             checked += 1
             feasible += rl.feasible
     dt = time.perf_counter() - t0

@@ -1,7 +1,10 @@
 """Threshold selector behaviour: frozen cases, route equivalence, MC oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from predfdr import bfdr
 from predfdr.bfdr import (
     BfdrConfig,
     CapacityError,
@@ -9,6 +12,7 @@ from predfdr.bfdr import (
     ThresholdResult,
     classic_bfdr,
     gbfdr,
+    gbfdr_changepoint,
     gbfdr_looped,
     gbfdr_vectorized,
     mc_fdr_inverse,
@@ -127,11 +131,67 @@ def test_classic_matches_a1_on_continuous_scores():
         )
 
 
+@st.composite
+def adversarial_batches(draw):
+    """Batches built to sit on the selector's boundaries: scores on grid
+    points and one ulp above them, scores equal to q, all-equal batches,
+    batches symmetric about q, m = 1 and k = 1."""
+    k = draw(st.sampled_from([1, 2, 3, 10, 100, 1000]) | st.integers(1, 2000))
+    q = draw(st.sampled_from([0.5, 0.25, 0.2, 0.1, 2.0**-10]) | st.floats(1e-6, 1.0 - 1e-6))
+    a = draw(st.sampled_from([0.0, 1.0, 2.0]))
+    on_grid = st.integers(0, k).map(lambda l: l / k)
+    cell = st.one_of(
+        on_grid,
+        on_grid.map(lambda v: min(float(np.nextafter(v, 2.0)), 1.0)),
+        st.just(q),
+        st.floats(0.0, 1.0),
+    )
+    symmetric = st.lists(st.floats(0.0, min(q, 1.0 - q)), min_size=1, max_size=20).map(
+        lambda d: [q + x for x in d] + [q - x for x in d]
+    )
+    scores = draw(
+        st.one_of(
+            st.lists(cell, min_size=1, max_size=40),
+            cell.flatmap(lambda v: st.lists(st.just(v), min_size=1, max_size=40)),
+            symmetric,
+        )
+    )
+    return ScoreBatch(np.clip(scores, 0.0, 1.0)), BfdrConfig(q=q, a=a, k=k)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(adversarial_batches())
+def test_all_routes_identical_on_adversarial_batches(case):
+    batch, cfg = case
+    want = as_tuple(gbfdr_looped(batch, cfg))
+    assert as_tuple(gbfdr_vectorized(batch, cfg)) == want
+    assert as_tuple(gbfdr_changepoint(batch, cfg)) == want
+
+
+def test_changepoint_exact_fallback_decides_cancelling_batch(monkeypatch):
+    # s = q +- d cancels: the sorted prefix sum of all 16 terms is -5.6e-17
+    # while the looped scan's masked sum is +2.8e-17, so only the exact
+    # fallback rejects eta = 1 the way the looped scan does
+    q = 0.25
+    d = np.arange(1, 9) / 100
+    batch = ScoreBatch(np.concatenate([q + d, q - d]))
+    cfg = BfdrConfig(q=q, a=1.0, k=100)
+    calls = []
+    exact = bfdr._masked_sum
+    monkeypatch.setattr(bfdr, "_masked_sum", lambda *args: calls.append(args) or exact(*args))
+    res = gbfdr_changepoint(batch, cfg)
+    assert calls
+    assert as_tuple(res) == as_tuple(gbfdr_looped(batch, cfg)) == (0.32, 32, True)
+
+
 def test_dispatch_honours_algorithm():
     batch = ScoreBatch([0.1, 0.6])
-    cfg_l = BfdrConfig(q=0.3, a=1.0, k=10, algorithm="looped")
-    cfg_v = BfdrConfig(q=0.3, a=1.0, k=10, algorithm="vectorized")
-    assert as_tuple(gbfdr(batch, cfg_l)) == as_tuple(gbfdr(batch, cfg_v))
+    assert BfdrConfig(q=0.3).algorithm == "changepoint"
+    results = {
+        as_tuple(gbfdr(batch, BfdrConfig(q=0.3, a=1.0, k=10, algorithm=alg)))
+        for alg in ("changepoint", "looped", "vectorized")
+    }
+    assert len(results) == 1
 
 
 def test_vectorized_capacity_guard():

@@ -150,16 +150,19 @@ def test_detect_without_truth_warns_and_skips_metrics(tmp_path, capsys):
 def test_detect_replay_from_manifest_is_byte_identical(tmp_path):
     sim = tmp_path / "sim"
     out1 = tmp_path / "d1"
-    out2 = tmp_path / "d2"
     assert run_simulate(sim) == 0
     assert main(detect_argv(sim, out1)) == 0
     manifest = json.loads((out1 / "manifest.json").read_text())
-    manifest["config"]["out"] = str(out2)
     replay = tmp_path / "replay.json"
-    replay.write_text(json.dumps(manifest))
-    assert main(["detect", "--from-manifest", str(replay)]) == 0
-    for name in ("scores.csv", "thresholds.csv", "flags.csv", "metrics.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # manifests written while detect had --algorithm carry that key; every
+    # route gave the same thresholds, so replay ignores it
+    for i, extra in enumerate(({}, {"algorithm": "vectorized"})):
+        out2 = tmp_path / f"d{i + 2}"
+        manifest["config"].update(extra, out=str(out2))
+        replay.write_text(json.dumps(manifest))
+        assert main(["detect", "--from-manifest", str(replay)]) == 0
+        for name in ("scores.csv", "thresholds.csv", "flags.csv", "metrics.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_detect_requires_data(tmp_path, capsys):
@@ -182,6 +185,38 @@ def test_detect_mismatched_truth_shape(tmp_path):
     argv = detect_argv(sim, tmp_path / "det")
     argv[argv.index("--truth") + 1] = str(other / "truth.csv")
     assert main(argv) == 1
+
+
+@pytest.mark.parametrize("grid", [",", "0.25,1.5"])
+def test_detect_bad_level_grid_fails_before_scoring(tmp_path, capsys, monkeypatch, grid):
+    sim = tmp_path / "sim"
+    assert run_simulate(sim) == 0
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored before the levels were checked")
+
+    monkeypatch.setattr("predfdr.cli.lagged_scores", no_scoring)
+    argv = detect_argv(sim, tmp_path / "det")
+    argv[argv.index("--q-grid") + 1] = grid
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert ("--q-grid" if grid == "," else "q=1.5") in err
+    assert not (tmp_path / "det").exists()
+
+
+@pytest.mark.parametrize("cell", ["0.5", "7", "nan"])
+def test_detect_rejects_non_binary_truth(tmp_path, capsys, cell):
+    sim = tmp_path / "sim"
+    assert run_simulate(sim) == 0
+    lines = (sim / "truth.csv").read_text().splitlines()
+    row = lines[3].split(",")
+    row[5] = cell
+    lines[3] = ",".join(row)
+    (sim / "truth.csv").write_text("\n".join(lines) + "\n")
+    assert main(detect_argv(sim, tmp_path / "det")) == 1
+    err = capsys.readouterr().err
+    assert "row 3, column 6" in err and "not 0 or 1" in err
 
 
 def test_detect_threads_default_follows_affinity(monkeypatch):

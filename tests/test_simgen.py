@@ -148,6 +148,30 @@ def test_load_matrix_csv_empty_file(tmp_path):
         load_matrix_csv(p)
 
 
+def test_load_matrix_csv_ignores_trailing_empty_lines(tmp_path):
+    p = tmp_path / "x.csv"
+    p.write_text("t0,t1\n1,2\n3,4\n\n\n")
+    assert np.array_equal(load_matrix_csv(p), [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "body, where",
+    [
+        ("1,2,3\n4,5\n", "row 2, column 3"),
+        ("1,2,3\n4,5,6,7\n", "row 2, column 4"),
+        ("1,2,3\n4,x,6\n", "row 2, column 2: 'x' is not a number"),
+        ("1,2,3\n\n4,5,6\n", "row 2, column 1"),
+        ("\n1,2,3\n", "row 1, column 1: row has 0 cells, the header has 3"),
+        ("1,2\n3,4,5\n", "row 1, column 3: row has 2 cells, the header has 3"),
+    ],
+)
+def test_load_matrix_csv_names_first_bad_cell(tmp_path, body, where):
+    p = tmp_path / "x.csv"
+    p.write_text("t0,t1,t2\n" + body)
+    with pytest.raises(ValueError, match=where):
+        load_matrix_csv(p)
+
+
 def test_sim_data_shapes():
     data = gen_data(small_spec())
     assert isinstance(data, SimData)
