@@ -23,34 +23,50 @@ from .validation import run_checks
 OUT_ENV = "PREDFDR_OUT"
 
 
-def parse_level_grid(spec: str):
-    """Parse a threshold grid: '2^-1..2^-15', '2^-3', or comma floats."""
+def _number(tok: str, option: str, text: str, kind=float):
+    """kind(tok), or a ValueError naming the option and the text it came from."""
+    try:
+        return kind(tok)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{option} {text!r}: {tok.strip()!r} is not {what}") from None
+
+
+def _number_list(text: str, option: str, kind=float) -> list:
+    return [_number(tok, option, text, kind) for tok in text.split(",")]
+
+
+def parse_level_grid(spec: str, option: str = "--q-grid"):
+    """Parse a threshold grid: '2^-1..2^-15', '2^-3', or comma floats.
+
+    Errors name ``option`` and the text that failed to parse.
+    """
     spec = spec.strip()
 
+    def power(tok: str, kind=float):
+        base, _, expo = tok.partition("^")
+        return _number(base, option, spec), _number(expo, option, spec, kind)
+
     def one(tok: str) -> float:
-        tok = tok.strip()
-        if "^" in tok:
-            base, expo = tok.split("^")
-            return float(base) ** float(expo)
-        return float(tok)
+        if "^" not in tok:
+            return _number(tok, option, spec)
+        base, expo = power(tok)
+        return base ** expo
 
     if ".." in spec:
-        lo_tok, hi_tok = spec.split("..")
-        for tok in (lo_tok, hi_tok):
-            if "^" not in tok:
-                raise ValueError(f"range grid endpoints must use base^exponent: {spec!r}")
-        b1, e1 = lo_tok.split("^")
-        b2, e2 = hi_tok.split("^")
-        if float(b1) != float(b2):
-            raise ValueError("range grid endpoints must share a base")
-        e1i, e2i = int(e1), int(e2)
-        step = 1 if e2i >= e1i else -1
-        return [float(b1) ** e for e in range(e1i, e2i + step, step)]
+        ends = spec.split("..")
+        if len(ends) != 2 or any("^" not in tok for tok in ends):
+            raise ValueError(f"{option} {spec!r}: a range is two base^exponent endpoints")
+        (b1, e1), (b2, e2) = (power(tok, int) for tok in ends)
+        if b1 != b2:
+            raise ValueError(f"{option} {spec!r}: range endpoints must share a base")
+        step = 1 if e2 >= e1 else -1
+        return [b1 ** e for e in range(e1, e2 + step, step)]
     return [one(tok) for tok in spec.split(",") if tok.strip()]
 
 
 def _parse_pair(text: str, n: int, name: str):
-    parts = [float(p) for p in text.split(",")]
+    parts = _number_list(text, name)
     if len(parts) != n:
         raise ValueError(f"{name} expects {n} comma-separated values")
     return tuple(parts)
@@ -103,7 +119,7 @@ def _run_detect(config: dict) -> int:
     base = (
         None
         if config["baseline_etas"] == "match"
-        else tuple(parse_level_grid(config["baseline_etas"]))
+        else tuple(parse_level_grid(config["baseline_etas"], "--baseline-etas"))
     )
     cfg = DetectConfig(
         bfdr=BfdrConfig(q=qs[0], a=config["a"], k=config["k"]),
@@ -280,7 +296,7 @@ def _config_from_args(args: argparse.Namespace) -> dict:
             "m": args.m,
             "a": args.a,
             "q": args.q,
-            "k_values": [int(v) for v in str(args.k).split(",")],
+            "k_values": _number_list(str(args.k), "--k", int),
             "seed": args.seed,
             "paper": bool(args.paper),
         }

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,7 +27,6 @@ __all__ = [
     "lagged_scores",
     "detect",
     "confusion_metrics",
-    "metric_series",
     "write_report",
     "write_scores_csv",
 ]
@@ -137,27 +137,28 @@ class DetectionReport:
     metrics_fixed: Optional[Dict[str, np.ndarray]] = None
 
 
-def confusion_metrics(tp: int, fp: int, fn: int, tn: int) -> Dict[str, float]:
-    """Metrics with the degenerate-denominator conventions.
+def confusion_metrics(counts: np.ndarray) -> Dict[str, np.ndarray]:
+    """Metric arrays of confusion counts shaped (..., 4) = (tp, fp, fn, tn).
 
-    Precision with zero flags is 1 (no false discovery was made); recall with
-    zero true positives in the truth is 1; balanced accuracy averages only
-    the defined rate halves.
+    Degenerate denominators: precision with zero flags is 1 (no false
+    discovery was made); recall with zero true positives in the truth is 1;
+    accuracy of an empty batch is 1; balanced accuracy averages only the
+    defined rate halves, and is 1 when neither is defined.
     """
-    total = tp + fp + fn + tn
-    precision = tp / (tp + fp) if (tp + fp) > 0 else 1.0
-    recall = tp / (tp + fn) if (tp + fn) > 0 else 1.0
-    accuracy = (tp + tn) / total if total > 0 else 1.0
-    halves = []
-    if (tp + fn) > 0:
-        halves.append(tp / (tp + fn))
-    if (tn + fp) > 0:
-        halves.append(tn / (tn + fp))
-    balanced = sum(halves) / len(halves) if halves else 1.0
+    tp, fp, fn, tn = np.moveaxis(np.asarray(counts), -1, 0)
+
+    def rate(num, den):
+        return np.divide(num, den, out=np.ones(np.shape(den)), where=den > 0)
+
+    pos, neg = tp + fn, tn + fp
+    recall, specificity = rate(tp, pos), rate(tn, neg)
+    balanced = np.where(
+        neg == 0, recall, np.where(pos == 0, specificity, (recall + specificity) / 2)
+    )
     return {
-        "precision": precision,
+        "precision": rate(tp, tp + fp),
         "recall": recall,
-        "accuracy": accuracy,
+        "accuracy": rate(tp + tn, pos + neg),
         "balanced_accuracy": balanced,
     }
 
@@ -170,17 +171,6 @@ def _confusion_cube(flags: np.ndarray, truth: np.ndarray) -> np.ndarray:
     fn = (~flags & t).sum(axis=1)
     tn = (~flags & ~t).sum(axis=1)
     return np.stack([tp, fp, fn, tn], axis=-1)
-
-
-def _metric_arrays(conf: np.ndarray) -> Dict[str, np.ndarray]:
-    L, nt, _ = conf.shape
-    out = {name: np.empty((L, nt)) for name in METRIC_NAMES}
-    for li in range(L):
-        for ti in range(nt):
-            mm = confusion_metrics(*conf[li, ti])
-            for name in METRIC_NAMES:
-                out[name][li, ti] = mm[name]
-    return out
 
 
 def detect(
@@ -252,48 +242,9 @@ def detect(
     if truth is not None:
         report.confusion_bfdr = _confusion_cube(flags_bfdr, truth)
         report.confusion_fixed = _confusion_cube(flags_fixed, truth)
-        report.metrics_bfdr = _metric_arrays(report.confusion_bfdr)
-        report.metrics_fixed = _metric_arrays(report.confusion_fixed)
+        report.metrics_bfdr = confusion_metrics(report.confusion_bfdr)
+        report.metrics_fixed = confusion_metrics(report.confusion_fixed)
     return report
-
-
-def metric_series(report: DetectionReport):
-    """Per-timestep metric rows plus paired selector-minus-fixed differences.
-
-    Differences pair each evaluated q with the fixed baseline of the same
-    numeric level, when present.
-    """
-    if report.metrics_bfdr is None:
-        raise ValueError("metric_series requires a report built with truth")
-    rows = []
-    for qi, q in enumerate(report.qs):
-        for ti, t in enumerate(report.t_index):
-            row = {"t": int(t), "q": q, "method": "bfdr"}
-            row.update(
-                {name: report.metrics_bfdr[name][qi, ti] for name in METRIC_NAMES}
-            )
-            rows.append(row)
-    for bi, eta in enumerate(report.baseline_etas):
-        for ti, t in enumerate(report.t_index):
-            row = {"t": int(t), "q": eta, "method": "fixed"}
-            row.update(
-                {name: report.metrics_fixed[name][bi, ti] for name in METRIC_NAMES}
-            )
-            rows.append(row)
-    diffs = []
-    for qi, q in enumerate(report.qs):
-        if q not in report.baseline_etas:
-            continue
-        bi = report.baseline_etas.index(q)
-        for ti, t in enumerate(report.t_index):
-            row = {"t": int(t), "q": q}
-            for name in METRIC_NAMES:
-                row[f"{name}_diff"] = (
-                    report.metrics_bfdr[name][qi, ti]
-                    - report.metrics_fixed[name][bi, ti]
-                )
-            diffs.append(row)
-    return rows, diffs
 
 
 def write_scores_csv(scores: np.ndarray, path, t_offset: int = 0) -> None:
@@ -301,65 +252,72 @@ def write_scores_csv(scores: np.ndarray, path, t_offset: int = 0) -> None:
     np.savetxt(path, scores, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
+def _write_csv(path: Path, header, rows) -> str:
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
+    return str(path)
+
+
 def write_report(report: DetectionReport, out_dir) -> dict:
     """Write thresholds.csv, flags.csv and, when metrics exist, metrics.csv
-    and diff.csv.  Flags are written sparsely, one row per flagged cell."""
+    and diff.csv.
+
+    Rows run level by level, then by timestep; flags are written sparsely,
+    one row per flagged cell, by level, series, timestep.  Differences pair
+    each evaluated q with the fixed baseline of the same numeric level, when
+    present.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {}
+    ts = report.t_index.tolist()
 
-    p = out / "thresholds.csv"
-    with open(p, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", "q", "eta_s", "eta_r", "feasible"])
-        for qi, q in enumerate(report.qs):
-            for ti, t in enumerate(report.t_index):
-                feas = bool(report.feasible[qi, ti])
-                wr.writerow(
-                    [
-                        int(t),
-                        repr(q),
-                        repr(float(report.eta_s[qi, ti])) if feas else "",
-                        repr(float(report.eta_r[qi, ti])) if feas else "",
-                        int(feas),
-                    ]
-                )
-    paths["thresholds"] = str(p)
+    def level_rows(levels, columns, *label):
+        # (t, level, *label, *cells); columns are (level, timestep) arrays
+        for level, *cols in zip(levels, *(c.tolist() for c in columns)):
+            level = repr(level)
+            for t, *cells in zip(ts, *cols):
+                yield (t, level, *label, *cells)
 
-    p = out / "flags.csv"
-    with open(p, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["method", "q", "t", "series"])
-        for qi, q in enumerate(report.qs):
-            js, tis = np.nonzero(report.flags_bfdr[qi])
-            for j, ti in zip(js, tis):
-                wr.writerow(["bfdr", repr(q), int(report.t_index[ti]), int(j)])
-        for bi, eta in enumerate(report.baseline_etas):
-            js, tis = np.nonzero(report.flags_fixed[bi])
-            for j, ti in zip(js, tis):
-                wr.writerow(["fixed", repr(eta), int(report.t_index[ti]), int(j)])
-    paths["flags"] = str(p)
+    def threshold_rows():
+        rows = level_rows(report.qs, [report.feasible, report.eta_s, report.eta_r])
+        for t, q, feas, eta_s, eta_r in rows:
+            yield (t, q, eta_s, eta_r, 1) if feas else (t, q, "", "", 0)
 
+    def flag_rows():
+        for method, levels, cube in (
+            ("bfdr", report.qs, report.flags_bfdr),
+            ("fixed", report.baseline_etas, report.flags_fixed),
+        ):
+            # one level at a time, so the rows never all sit in memory
+            for level, flags in zip(levels, cube):
+                js, tis = np.nonzero(flags)
+                level = repr(level)
+                for t, j in zip(report.t_index[tis].tolist(), js.tolist()):
+                    yield (method, level, t, j)
+
+    paths = {
+        "thresholds": _write_csv(
+            out / "thresholds.csv", ["t", "q", "eta_s", "eta_r", "feasible"], threshold_rows()
+        ),
+        "flags": _write_csv(out / "flags.csv", ["method", "q", "t", "series"], flag_rows()),
+    }
     if report.metrics_bfdr is not None:
-        rows, diffs = metric_series(report)
-        p = out / "metrics.csv"
-        with open(p, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "q", "method", *METRIC_NAMES])
-            for row in rows:
-                wr.writerow(
-                    [row["t"], repr(row["q"]), row["method"]]
-                    + [repr(float(row[name])) for name in METRIC_NAMES]
-                )
-        paths["metrics"] = str(p)
-        p = out / "diff.csv"
-        with open(p, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "q", *[f"{n}_diff" for n in METRIC_NAMES]])
-            for row in diffs:
-                wr.writerow(
-                    [row["t"], repr(row["q"])]
-                    + [repr(float(row[f"{n}_diff"])) for n in METRIC_NAMES]
-                )
-        paths["diff"] = str(p)
+        bfdr = [report.metrics_bfdr[name] for name in METRIC_NAMES]
+        fixed = [report.metrics_fixed[name] for name in METRIC_NAMES]
+        rows = chain(
+            level_rows(report.qs, bfdr, "bfdr"), level_rows(report.baseline_etas, fixed, "fixed")
+        )
+        paths["metrics"] = _write_csv(
+            out / "metrics.csv", ["t", "q", "method", *METRIC_NAMES], rows
+        )
+        qi = [i for i, q in enumerate(report.qs) if q in report.baseline_etas]
+        bi = [report.baseline_etas.index(report.qs[i]) for i in qi]
+        diffs = [b[qi] - f[bi] for b, f in zip(bfdr, fixed)]
+        paths["diff"] = _write_csv(
+            out / "diff.csv",
+            ["t", "q", *[f"{n}_diff" for n in METRIC_NAMES]],
+            level_rows([report.qs[i] for i in qi], diffs),
+        )
     return paths

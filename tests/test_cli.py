@@ -1,6 +1,7 @@
 """Command line surface: grid parsing, subcommand runs, manifests, exit codes."""
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,16 @@ def test_parse_level_grid_errors():
         parse_level_grid("2^-1..3^-5")  # mixed bases
     with pytest.raises(ValueError):
         parse_level_grid("0.1..0.5")  # ranges need explicit powers
+    # every message names the option and the text that failed
+    for spec, expect in [
+        ("2^-1..2^-1.5", "--q-grid '2^-1..2^-1.5': '-1.5' is not an integer"),
+        ("2^-1..2^-3..2^-4", "--q-grid '2^-1..2^-3..2^-4': a range is two base^exponent"),
+        ("0.1,abc", "--q-grid '0.1,abc': 'abc' is not a number"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(expect)):
+            parse_level_grid(spec)
+    with pytest.raises(ValueError, match=re.escape("--baseline-etas '2^x': 'x' is not a number")):
+        parse_level_grid("2^x", "--baseline-etas")
 
 
 # ---------------------------------------------------------------- simulate
@@ -187,8 +198,34 @@ def test_detect_mismatched_truth_shape(tmp_path):
     assert main(argv) == 1
 
 
-@pytest.mark.parametrize("grid", [",", "0.25,1.5"])
-def test_detect_bad_level_grid_fails_before_scoring(tmp_path, capsys, monkeypatch, grid):
+@pytest.mark.parametrize(
+    "option, grid, expect",
+    [
+        pytest.param("--q-grid", ",", "--q-grid", id=","),
+        pytest.param("--q-grid", "0.25,1.5", "q=1.5", id="0.25,1.5"),
+        pytest.param(
+            "--q-grid", "2^-1..2^-1.5", "--q-grid '2^-1..2^-1.5': '-1.5' is not an integer",
+            id="2^-1..2^-1.5",
+        ),
+        pytest.param(
+            "--q-grid", "2^-1..2^-3..2^-4", "--q-grid '2^-1..2^-3..2^-4': a range is two",
+            id="2^-1..2^-3..2^-4",
+        ),
+        pytest.param(
+            "--q-grid", "0.1,abc", "--q-grid '0.1,abc': 'abc' is not a number", id="0.1,abc"
+        ),
+        pytest.param(
+            "--baseline-etas", "2^x", "--baseline-etas '2^x': 'x' is not a number",
+            id="baseline-etas=2^x",
+        ),
+        pytest.param(
+            "--prior", "0,x,1,1", "--prior '0,x,1,1': 'x' is not a number", id="prior=0,x,1,1"
+        ),
+    ],
+)
+def test_detect_bad_level_grid_fails_before_scoring(
+    tmp_path, capsys, monkeypatch, option, grid, expect
+):
     sim = tmp_path / "sim"
     assert run_simulate(sim) == 0
 
@@ -197,11 +234,14 @@ def test_detect_bad_level_grid_fails_before_scoring(tmp_path, capsys, monkeypatc
 
     monkeypatch.setattr("predfdr.cli.lagged_scores", no_scoring)
     argv = detect_argv(sim, tmp_path / "det")
-    argv[argv.index("--q-grid") + 1] = grid
+    if option in argv:
+        argv[argv.index(option) + 1] = grid
+    else:
+        argv.extend([option, grid])
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert ("--q-grid" if grid == "," else "q=1.5") in err
+    assert expect in err
     assert not (tmp_path / "det").exists()
 
 
@@ -250,6 +290,9 @@ def test_bench_cli_smoke(tmp_path, capsys):
     assert (tmp_path / "bench_summary.csv").exists()
     out = capsys.readouterr().out
     assert "looped" in out and "vectorized" in out
+    argv[argv.index("--k") + 1] = "10,x"
+    assert main(argv) == 1
+    assert "--k '10,x': 'x' is not an integer" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- validate

@@ -1,5 +1,6 @@
 """Rolling scorer and the per-timestep thresholding pipeline."""
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from predfdr.decision import bfdr_coupled_rule
 from predfdr.pipeline import (
     DIFFUSE_PRIOR,
     DetectConfig,
+    DetectionReport,
     confusion_metrics,
     detect,
     lagged_scores,
-    metric_series,
     write_report,
     write_scores_csv,
 )
@@ -94,7 +95,7 @@ def test_custom_prior_changes_scores(panel):
 
 
 def test_confusion_metrics_frozen():
-    m = confusion_metrics(tp=2, fp=1, fn=1, tn=6)
+    m = confusion_metrics(np.array([2, 1, 1, 6]))
     assert m["precision"] == pytest.approx(2.0 / 3.0)
     assert m["recall"] == pytest.approx(2.0 / 3.0)
     assert m["accuracy"] == pytest.approx(0.8)
@@ -103,12 +104,32 @@ def test_confusion_metrics_frozen():
 
 def test_confusion_metrics_degenerate_conventions():
     # no flags made: vacuous precision
-    assert confusion_metrics(0, 0, 3, 7)["precision"] == 1.0
+    assert confusion_metrics(np.array([0, 0, 3, 7]))["precision"] == 1.0
     # nothing to find: vacuous recall, balanced falls back to specificity
-    none = confusion_metrics(0, 2, 0, 8)
+    none = confusion_metrics(np.array([0, 2, 0, 8]))
     assert none["recall"] == 1.0
     assert none["balanced_accuracy"] == pytest.approx(0.8)
-    assert confusion_metrics(0, 0, 0, 0)["accuracy"] == 1.0
+    assert confusion_metrics(np.array([0, 0, 0, 0]))["accuracy"] == 1.0
+
+
+def test_confusion_metrics_arrays_equal_scalar_formulas():
+    counts = np.array(
+        [c for c in itertools.product(range(7), repeat=4) if sum(c) <= 6]
+    )
+    got = confusion_metrics(counts)
+    for i, (tp, fp, fn, tn) in enumerate(counts.tolist()):
+        halves = []
+        if tp + fn > 0:
+            halves.append(tp / (tp + fn))
+        if tn + fp > 0:
+            halves.append(tn / (tn + fp))
+        want = {
+            "precision": tp / (tp + fp) if tp + fp > 0 else 1.0,
+            "recall": tp / (tp + fn) if tp + fn > 0 else 1.0,
+            "accuracy": (tp + tn) / (tp + fp + fn + tn) if tp + fp + fn + tn > 0 else 1.0,
+            "balanced_accuracy": sum(halves) / len(halves) if halves else 1.0,
+        }
+        assert {name: got[name][i] for name in want} == want, (tp, fp, fn, tn)
 
 
 # -------------------------------------------------------------------- detect
@@ -200,21 +221,6 @@ def test_detect_confusion_counts(panel):
     assert conf.sum(axis=-1).max() == 12  # counts partition the panel
 
 
-def test_metric_series_pairing(panel):
-    scores = lagged_scores(panel.values, DIFFUSE_PRIOR, 8)
-    truth = panel.truth[:, 8:]
-    cfg = DetectConfig(bfdr=BfdrConfig(q=0.5, a=2.0, k=100), baseline_etas=(0.3, 0.7))
-    rep = detect(scores, truth, cfg, q_values=(0.3, 0.1))
-    rows, diffs = metric_series(rep)
-    assert len(rows) == (2 + 2) * 52
-    # only q=0.3 has a matching baseline level
-    assert len(diffs) == 52
-    assert all(row["q"] == 0.3 for row in diffs)
-    rep_nometrics = detect(scores, None, cfg, q_values=(0.3,))
-    with pytest.raises(ValueError):
-        metric_series(rep_nometrics)
-
-
 # ------------------------------------------------------------------ file IO
 
 
@@ -258,6 +264,96 @@ def test_write_report_files(tmp_path, panel):
     with open(paths["diff"]) as fh:
         diff_rows = list(csv.DictReader(fh))
     assert len(diff_rows) == 2 * 52  # both q levels match their baselines
+
+
+def test_metric_series_pairing(tmp_path, panel):
+    scores = lagged_scores(panel.values, DIFFUSE_PRIOR, 8)
+    truth = panel.truth[:, 8:]
+    cfg = DetectConfig(bfdr=BfdrConfig(q=0.5, a=2.0, k=100), baseline_etas=(0.3, 0.7))
+    rep = detect(scores, truth, cfg, q_values=(0.3, 0.1))
+    paths = write_report(rep, tmp_path / "paired")
+    with open(paths["metrics"]) as fh:
+        assert len(list(csv.DictReader(fh))) == (2 + 2) * 52
+    with open(paths["diff"]) as fh:
+        diff_rows = list(csv.DictReader(fh))
+    # only q=0.3 has a matching baseline level
+    assert len(diff_rows) == 52
+    assert all(row["q"] == "0.3" for row in diff_rows)
+    # without truth there is nothing to pair: no metrics, no differences
+    rep_nometrics = detect(scores, None, cfg, q_values=(0.3,))
+    paths = write_report(rep_nometrics, tmp_path / "nometrics")
+    assert set(paths) == {"thresholds", "flags"}
+
+
+def _tiny_report():
+    # levels 0.3 and 2**-15 at t = 4, 5, 6 over 2 series; (0.3, t=5) is
+    # infeasible, of the baselines (0.3, 0.7) only 0.3 pairs with a level,
+    # and baseline 0.7's flags list series 0 at t=6 before series 1 at t=5
+    eta_s = np.array([[0.25, np.nan, 0.1 + 0.2], [2.0**-16, 0.0, 1e-05]])
+    flags = lambda cells: np.array(cells, dtype=bool)  # noqa: E731
+    return DetectionReport(
+        t_index=np.arange(3) + 4,
+        qs=(0.3, 2.0**-15),
+        baseline_etas=(0.3, 0.7),
+        m=2,
+        eta_s=eta_s,
+        eta_r=1.0 - eta_s,
+        feasible=~np.isnan(eta_s),
+        flags_bfdr=flags([[[1, 0, 1], [0, 0, 1]], [[0, 0, 0], [1, 0, 0]]]),
+        flags_fixed=flags([[[1, 1, 0], [0, 0, 0]], [[0, 0, 1], [0, 1, 0]]]),
+        metrics_bfdr={
+            "precision": np.array([[2 / 3, 1.0, 0.5], [1.0, 0.1, 0.0]]),
+            "recall": np.array([[1.0, 0.25, 1 / 3], [0.0, 1.0, 0.75]]),
+            "accuracy": np.array([[0.5, 0.5, 1.0], [0.1 + 0.2, 1.0, 0.5]]),
+            "balanced_accuracy": np.array([[0.75, 0.625, 1.0], [0.5, 0.5, 0.5]]),
+        },
+        metrics_fixed={
+            "precision": np.array([[0.5, 0.5, 1.0], [1.0, 0.0, 0.25]]),
+            "recall": np.array([[0.5, 1.0, 0.0], [1.0, 1.0, 1.0]]),
+            "accuracy": np.array([[1.0, 0.0, 0.5], [0.5, 0.5, 0.5]]),
+            "balanced_accuracy": np.array([[0.5, 0.5, 0.5], [0.75, 0.75, 0.75]]),
+        },
+    )
+
+
+def test_write_report_frozen_bytes(tmp_path):
+    paths = write_report(_tiny_report(), tmp_path)
+    got = {name: open(path, "rb").read() for name, path in paths.items()}
+    assert got == {
+        "thresholds": b"t,q,eta_s,eta_r,feasible\r\n"
+        b"4,0.3,0.25,0.75,1\r\n"
+        b"5,0.3,,,0\r\n"
+        b"6,0.3,0.30000000000000004,0.7,1\r\n"
+        b"4,3.0517578125e-05,1.52587890625e-05,0.9999847412109375,1\r\n"
+        b"5,3.0517578125e-05,0.0,1.0,1\r\n"
+        b"6,3.0517578125e-05,1e-05,0.99999,1\r\n",
+        "flags": b"method,q,t,series\r\n"
+        b"bfdr,0.3,4,0\r\n"
+        b"bfdr,0.3,6,0\r\n"
+        b"bfdr,0.3,6,1\r\n"
+        b"bfdr,3.0517578125e-05,4,1\r\n"
+        b"fixed,0.3,4,0\r\n"
+        b"fixed,0.3,5,0\r\n"
+        b"fixed,0.7,6,0\r\n"
+        b"fixed,0.7,5,1\r\n",
+        "metrics": b"t,q,method,precision,recall,accuracy,balanced_accuracy\r\n"
+        b"4,0.3,bfdr,0.6666666666666666,1.0,0.5,0.75\r\n"
+        b"5,0.3,bfdr,1.0,0.25,0.5,0.625\r\n"
+        b"6,0.3,bfdr,0.5,0.3333333333333333,1.0,1.0\r\n"
+        b"4,3.0517578125e-05,bfdr,1.0,0.0,0.30000000000000004,0.5\r\n"
+        b"5,3.0517578125e-05,bfdr,0.1,1.0,1.0,0.5\r\n"
+        b"6,3.0517578125e-05,bfdr,0.0,0.75,0.5,0.5\r\n"
+        b"4,0.3,fixed,0.5,0.5,1.0,0.5\r\n"
+        b"5,0.3,fixed,0.5,1.0,0.0,0.5\r\n"
+        b"6,0.3,fixed,1.0,0.0,0.5,0.5\r\n"
+        b"4,0.7,fixed,1.0,1.0,0.5,0.75\r\n"
+        b"5,0.7,fixed,0.0,1.0,0.5,0.75\r\n"
+        b"6,0.7,fixed,0.25,1.0,0.5,0.75\r\n",
+        "diff": b"t,q,precision_diff,recall_diff,accuracy_diff,balanced_accuracy_diff\r\n"
+        b"4,0.3,0.16666666666666663,0.5,-0.5,0.25\r\n"
+        b"5,0.3,0.5,-0.75,0.5,0.125\r\n"
+        b"6,0.3,-0.5,0.3333333333333333,0.5,0.5\r\n",
+    }
 
 
 def test_write_report_without_truth(tmp_path, panel):
