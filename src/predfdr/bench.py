@@ -104,7 +104,7 @@ def run_bench(spec: BenchSpec) -> BenchReport:
     report = BenchReport(spec)
     rng = np.random.default_rng(spec.seed)
     for k in spec.k_values:
-        cfg = BfdrConfig(q=spec.q, a=spec.a, k=k, algorithm="vectorized")
+        cfg = BfdrConfig(q=spec.q, a=spec.a, k=k)
         for _ in range(spec.warmup):
             batch = ScoreBatch(rng.random(spec.m))
             gbfdr_looped(batch, cfg)

@@ -15,6 +15,7 @@ from pathlib import Path
 from . import __version__
 from .bfdr import BfdrConfig
 from .bench import BenchSpec, reference_spec, run_bench, write_bench_csv
+from .decision import ORIENTATIONS
 from .pipeline import DetectConfig, detect, lagged_scores, write_report, write_scores_csv
 from .predictive import NigParams
 from .simgen import SimSpec, as_truth, gen_data, load_matrix_csv, save_sim
@@ -76,7 +77,7 @@ class _Parser(argparse.ArgumentParser):
     # usage problems are invalid input, not internal failures
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _write_manifest(out_dir: Path, subcommand: str, config: dict, outputs: dict) -> None:
@@ -230,7 +231,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=1000)
     p.add_argument("--c1", type=float, default=0.0)
     p.add_argument("--baseline-etas", default="match", help="'match' or a grid spec")
-    p.add_argument("--orientation", choices=["null_score", "raw_score"], default="null_score")
+    p.add_argument("--orientation", choices=ORIENTATIONS, default="null_score")
     p.add_argument("--two-sided", action="store_true")
     p.add_argument("--threads", type=int, default=_usable_cpus())
     p.add_argument("--from-manifest", default=None)

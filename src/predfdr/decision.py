@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bfdr import BfdrConfig, ScoreBatch, ThresholdResult, gbfdr
+from .bfdr import BfdrConfig, ScoreBatch, gbfdr
 
 __all__ = [
     "LossParams",
@@ -17,6 +17,8 @@ __all__ = [
     "bayes_rule",
     "c_algebra",
     "c_algebra_inv",
+    "ORIENTATIONS",
+    "orient",
     "threshold_flags",
     "bfdr_coupled_rule",
 ]
@@ -89,29 +91,30 @@ def c_algebra_inv(c2: float, eta: float) -> float:
     return c1
 
 
-def threshold_flags(
-    rates: np.ndarray,
-    result: ThresholdResult,
-    c1: float = 0.0,
-    orientation: str = "null_score",
-) -> np.ndarray:
+ORIENTATIONS = ("null_score", "raw_score")
+
+
+def orient(x, orientation: str):
+    """Map between outlier probabilities and the selector's score space: 1 - x
+    for null scores, x itself for raw scores.  Either map is its own inverse."""
+    if orientation == "null_score":
+        return 1.0 - x
+    if orientation == "raw_score":
+        return x
+    raise ValueError(f"orientation must be one of {ORIENTATIONS}, not {orientation!r}")
+
+
+def threshold_flags(rates, eta, c1: float = 0.0, orientation: str = "null_score") -> np.ndarray:
     """Flag rule shared by the selector-coupled rule and fixed baselines.
 
-    ``result.eta`` lives in the selector's score space; under the default
-    null-score orientation it is mapped back to the outlier-probability scale
-    as eta_r = 1 - eta before the strict comparison r > eta_r / (1 + c1).
-    An infeasible result flags nothing.
+    ``eta`` lives in the selector's score space: a float, or an array that
+    broadcasts against ``rates``.  It is mapped back to the outlier-probability
+    scale (eta_r = 1 - eta under the default null-score orientation) before
+    the strict comparison r > eta_r / (1 + c1).  A NaN or None threshold is
+    infeasible and flags nothing, since r > NaN is False.
     """
-    r = np.asarray(rates, dtype=float)
-    if not result.feasible:
-        return np.zeros(r.shape, dtype=bool)
-    if orientation == "null_score":
-        eta_r = 1.0 - result.eta
-    elif orientation == "raw_score":
-        eta_r = result.eta
-    else:
-        raise ValueError("orientation must be 'null_score' or 'raw_score'")
-    return r > eta_r / (1.0 + c1)
+    eta_r = orient(np.asarray(eta, dtype=float), orientation)
+    return np.asarray(rates, dtype=float) > eta_r / (1.0 + c1)
 
 
 def bfdr_coupled_rule(
@@ -128,10 +131,5 @@ def bfdr_coupled_rule(
     loosened by the miss cost via eta_r / (1 + c1).
     """
     r = batch.scores
-    if orientation == "null_score":
-        sel = gbfdr(ScoreBatch(1.0 - r), cfg)
-    elif orientation == "raw_score":
-        sel = gbfdr(batch, cfg)
-    else:
-        raise ValueError("orientation must be 'null_score' or 'raw_score'")
-    return threshold_flags(r, sel, c1, orientation)
+    sel = gbfdr(ScoreBatch(orient(r, orientation)), cfg)
+    return threshold_flags(r, sel.eta, c1, orientation)

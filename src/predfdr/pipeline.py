@@ -16,9 +16,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bfdr import BfdrConfig, ScoreBatch, ThresholdResult, gbfdr
-from .decision import threshold_flags
+from .bfdr import BfdrConfig, ScoreBatch, gbfdr
+from .decision import orient, threshold_flags
 from .predictive import NigParams, _window_scores
+from .simgen import as_truth
 
 __all__ = [
     "DIFFUSE_PRIOR",
@@ -56,8 +57,7 @@ class DetectConfig:
     def __post_init__(self) -> None:
         if self.c1 < 0.0:
             raise ValueError("DetectConfig requires c1 >= 0")
-        if self.orientation not in ("null_score", "raw_score"):
-            raise ValueError("orientation must be 'null_score' or 'raw_score'")
+        orient(0.0, self.orientation)  # raises on an unknown orientation
         if self.baseline_etas is not None:
             etas = tuple(float(e) for e in self.baseline_etas)
             if any(not 0.0 < e < 1.0 for e in etas):
@@ -125,7 +125,6 @@ class DetectionReport:
     t_index: np.ndarray
     qs: Tuple[float, ...]
     baseline_etas: Tuple[float, ...]
-    m: int
     eta_s: np.ndarray
     eta_r: np.ndarray
     feasible: np.ndarray
@@ -185,57 +184,45 @@ def detect(
 
     ``scores`` is the (series, timestep) matrix from lagged_scores; ``truth``
     must be aligned to the same columns (pass None to skip metrics).  The
-    selector runs once per (q, timestep) on the oriented scores; fixed
-    baselines reuse the same flag rule without a selector.
+    selector runs once per (q, timestep) on the oriented scores; the flag rule
+    then runs once per method, on the whole threshold array of the selected
+    levels and on that of the fixed baselines.
     """
     r = np.asarray(scores, dtype=float)
     if r.ndim != 2:
         raise ValueError("scores must be (series, timesteps)")
-    m, nt = r.shape
+    nt = r.shape[1]
     if truth is not None:
-        truth = np.asarray(truth).astype(bool)
+        truth = np.asarray(truth)
         if truth.shape != r.shape:
             raise ValueError("truth must align with scores")
+        truth = as_truth(truth, "truth")
     levels = cfg.levels(q_values)
     qs = tuple(level.q for level in levels)
     etas = cfg.baseline_etas if cfg.baseline_etas is not None else qs
-    nq, nb = len(qs), len(etas)
 
-    sel_input = 1.0 - r if cfg.orientation == "null_score" else r
-    eta_s = np.full((nq, nt), np.nan)
-    feasible = np.zeros((nq, nt), dtype=bool)
-    flags_bfdr = np.zeros((nq, m, nt), dtype=bool)
+    sel_input = orient(r, cfg.orientation)
+    eta_s = np.empty((len(levels), nt))
 
     def work(ti_lo: int, ti_hi: int) -> None:
         for ti in range(ti_lo, ti_hi):
             batch = ScoreBatch(sel_input[:, ti])
-            r_col = r[:, ti]
             for qi, level in enumerate(levels):
-                res = gbfdr(batch, level)
-                if res.feasible:
-                    eta_s[qi, ti] = res.eta
-                    feasible[qi, ti] = True
-                flags_bfdr[qi, :, ti] = threshold_flags(
-                    r_col, res, cfg.c1, cfg.orientation
-                )
+                # an infeasible level's eta is None, which stores as NaN
+                eta_s[qi, ti] = gbfdr(batch, level).eta
 
     _run_chunked(work, 0, nt, threads)
 
-    eta_r = 1.0 - eta_s if cfg.orientation == "null_score" else eta_s.copy()
-
-    flags_fixed = np.zeros((nb, m, nt), dtype=bool)
-    for bi, eta_b in enumerate(etas):
-        fixed = ThresholdResult(eta_b, None, True)
-        flags_fixed[bi] = threshold_flags(r, fixed, cfg.c1, cfg.orientation)
+    flags_bfdr = threshold_flags(r, eta_s[:, None, :], cfg.c1, cfg.orientation)
+    flags_fixed = threshold_flags(r, np.array(etas)[:, None, None], cfg.c1, cfg.orientation)
 
     report = DetectionReport(
         t_index=np.arange(nt) + t_offset,
         qs=qs,
         baseline_etas=tuple(etas),
-        m=m,
         eta_s=eta_s,
-        eta_r=eta_r,
-        feasible=feasible,
+        eta_r=orient(eta_s, cfg.orientation).copy(),
+        feasible=~np.isnan(eta_s),
         flags_bfdr=flags_bfdr,
         flags_fixed=flags_fixed,
     )

@@ -314,7 +314,10 @@ def test_no_subcommand_is_usage_error():
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["simulate", "--definitely-not-a-flag"]) == 1
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "predfdr: error: " in err and "--definitely-not-a-flag" in err
+    assert main(["simulate", "--prior", "0"]) == 1  # a detect option
+    assert "--prior 0" in capsys.readouterr().err
 
 
 def test_bad_grid_spec_is_usage_error(tmp_path, capsys):

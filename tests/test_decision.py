@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from predfdr.bfdr import BfdrConfig, ScoreBatch, ThresholdResult, gbfdr
+from predfdr.bfdr import BfdrConfig, ScoreBatch, gbfdr
 from predfdr.decision import (
+    ORIENTATIONS,
     LossParams,
     bayes_rule,
     bfdr_coupled_rule,
@@ -11,6 +12,7 @@ from predfdr.decision import (
     c_algebra_inv,
     expected_loss,
     loss_eval,
+    orient,
     threshold_flags,
 )
 
@@ -115,9 +117,9 @@ def test_c_algebra_roundtrip():
 
 def test_threshold_flags_null_score_mapping():
     rates = np.array([0.05, 0.35, 0.95])
-    res = ThresholdResult(0.7, 7, True)  # null-score eta -> rate cutoff 0.3
-    assert threshold_flags(rates, res).tolist() == [False, True, True]
-    assert threshold_flags(rates, res, orientation="raw_score").tolist() == [
+    eta = 0.7  # null-score eta -> rate cutoff 0.3
+    assert threshold_flags(rates, eta).tolist() == [False, True, True]
+    assert threshold_flags(rates, eta, orientation="raw_score").tolist() == [
         False,
         False,
         True,
@@ -126,22 +128,46 @@ def test_threshold_flags_null_score_mapping():
 
 def test_threshold_flags_miss_cost_loosens_cutoff():
     rates = np.array([0.2, 0.25, 0.4])
-    res = ThresholdResult(0.7, 7, True)
-    strict = threshold_flags(rates, res, c1=0.0)
-    loose = threshold_flags(rates, res, c1=0.5)  # cutoff 0.3 / 1.5 = 0.2
+    strict = threshold_flags(rates, 0.7, c1=0.0)
+    loose = threshold_flags(rates, 0.7, c1=0.5)  # cutoff 0.3 / 1.5 = 0.2
     assert strict.sum() <= loose.sum()
     assert loose.tolist() == [False, True, True]
 
 
 def test_threshold_flags_infeasible_flags_nothing():
+    # an infeasible selector result carries eta None; an infeasible cell of a
+    # threshold array is NaN
     rates = np.linspace(0.0, 1.0, 9)
-    out = threshold_flags(rates, ThresholdResult(None, None, False))
-    assert not out.any()
+    for eta in (None, np.nan):
+        for orientation in ORIENTATIONS:
+            out = threshold_flags(rates, eta, c1=0.5, orientation=orientation)
+            assert out.shape == rates.shape
+            assert not out.any()
+
+
+def test_threshold_flags_threshold_array():
+    # a (2, 1) threshold array against 3 rates gives one row of flags per
+    # threshold; the NaN row is infeasible and flags nothing
+    rates = np.array([0.05, 0.35, 0.95])
+    out = threshold_flags(rates, np.array([[0.7], [np.nan]]))
+    assert out.tolist() == [[False, True, True], [False, False, False]]
 
 
 def test_threshold_flags_bad_orientation():
-    with pytest.raises(ValueError):
-        threshold_flags(np.array([0.5]), ThresholdResult(0.5, 5, True), orientation="x")
+    with pytest.raises(ValueError, match="orientation must be"):
+        threshold_flags(np.array([0.5]), 0.5, orientation="x")
+    with pytest.raises(ValueError, match="orientation must be"):
+        threshold_flags(np.array([0.5]), None, orientation="x")
+
+
+def test_orient_is_its_own_inverse():
+    x = np.array([0.0, 0.25, 0.7, 1.0])
+    assert orient(x, "null_score").tolist() == [1.0, 0.75, 1.0 - 0.7, 0.0]
+    assert orient(x, "raw_score") is x
+    for name in ORIENTATIONS:
+        assert np.array_equal(orient(orient(x, name), name), x)
+    with pytest.raises(ValueError, match="orientation must be"):
+        orient(x, "sideways")
 
 
 def test_coupled_rule_is_selector_plus_flag_rule():
@@ -151,7 +177,7 @@ def test_coupled_rule_is_selector_plus_flag_rule():
         r = rng.random(50)
         got = bfdr_coupled_rule(ScoreBatch(r), cfg, c1=0.3)
         sel = gbfdr(ScoreBatch(1.0 - r), cfg)
-        expect = threshold_flags(r, sel, c1=0.3)
+        expect = threshold_flags(r, sel.eta, c1=0.3)
         assert np.array_equal(got, expect)
 
 
@@ -176,6 +202,6 @@ def test_coupled_rule_raw_orientation():
     cfg = BfdrConfig(q=0.2, a=1.0, k=100)
     got = bfdr_coupled_rule(ScoreBatch(r), cfg, orientation="raw_score")
     sel = gbfdr(ScoreBatch(r), cfg)
-    assert np.array_equal(got, threshold_flags(r, sel, orientation="raw_score"))
+    assert np.array_equal(got, threshold_flags(r, sel.eta, orientation="raw_score"))
     with pytest.raises(ValueError):
         bfdr_coupled_rule(ScoreBatch(r), cfg, orientation="sideways")

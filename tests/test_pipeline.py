@@ -1,12 +1,15 @@
 """Rolling scorer and the per-timestep thresholding pipeline."""
 import csv
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predfdr.bfdr import BfdrConfig, ScoreBatch, gbfdr
-from predfdr.decision import bfdr_coupled_rule
+from predfdr.decision import ORIENTATIONS, bfdr_coupled_rule
 from predfdr.pipeline import (
     DIFFUSE_PRIOR,
     DetectConfig,
@@ -135,24 +138,34 @@ def test_confusion_metrics_arrays_equal_scalar_formulas():
 # -------------------------------------------------------------------- detect
 
 
-def test_detect_matches_coupled_rule(panel):
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_detect_matches_coupled_rule(panel, orientation):
     scores = lagged_scores(panel.values, DIFFUSE_PRIOR, 8)
     truth = panel.truth[:, 8:]
-    cfg = DetectConfig(bfdr=BfdrConfig(q=0.5, a=2.0, k=200), c1=0.2)
+    cfg = DetectConfig(bfdr=BfdrConfig(q=0.5, a=2.0, k=200), c1=0.2, orientation=orientation)
     qs = (0.3, 0.05)
     rep = detect(scores, truth, cfg, q_values=qs, t_offset=8)
     assert rep.qs == qs
     assert rep.baseline_etas == qs  # default pairs one baseline per q
+    null = orientation == "null_score"
     for qi, q in enumerate(qs):
         cfg_q = BfdrConfig(q=q, a=2.0, k=200)
         for ti in range(scores.shape[1]):
-            expect = bfdr_coupled_rule(ScoreBatch(scores[:, ti]), cfg_q, c1=0.2)
+            batch = ScoreBatch(scores[:, ti])
+            expect = bfdr_coupled_rule(batch, cfg_q, c1=0.2, orientation=orientation)
             assert np.array_equal(rep.flags_bfdr[qi, :, ti], expect)
-            res = gbfdr(ScoreBatch(1.0 - scores[:, ti]), cfg_q)
+            res = gbfdr(ScoreBatch(1.0 - scores[:, ti] if null else scores[:, ti]), cfg_q)
             assert rep.feasible[qi, ti] == res.feasible
             if res.feasible:
                 assert rep.eta_s[qi, ti] == res.eta
-                assert rep.eta_r[qi, ti] == 1.0 - res.eta
+                assert rep.eta_r[qi, ti] == (1.0 - res.eta if null else res.eta)
+    assert rep.feasible.any() and rep.flags_bfdr.any()
+    # each baseline against the scalar rule r > eta_r / (1 + c1), cell by cell
+    for bi, eta in enumerate(qs):
+        cutoff = (1.0 - eta if null else eta) / (1.0 + 0.2)
+        expect = [[r > cutoff for r in row] for row in scores.tolist()]
+        assert rep.flags_fixed[bi].tolist() == expect
+    assert rep.flags_fixed.any()
 
 
 def test_detect_fixed_baselines(panel):
@@ -194,6 +207,12 @@ def test_detect_shape_errors(panel):
         detect(scores[0], None, cfg)
     with pytest.raises(ValueError):
         detect(scores, panel.truth, cfg)  # unaligned truth
+    # truth cells other than 0 and 1 are named by row and column
+    for bad in (0.5, 7.0, np.nan):
+        truth = panel.truth[:, 8:].astype(float)
+        truth[3, 5] = bad
+        with pytest.raises(ValueError, match=f"row 4, column 6: {bad!r} is not 0 or 1"):
+            detect(scores, truth, cfg)
 
 
 def test_detect_infeasible_column_flags_nothing():
@@ -203,6 +222,48 @@ def test_detect_infeasible_column_flags_nothing():
     assert not rep.feasible.any()
     assert not rep.flags_bfdr.any()
     assert np.isnan(rep.eta_s).all()
+
+
+@st.composite
+def small_panels(draw):
+    """Score panels of up to 40 series and 4 timesteps, rounded so that ties
+    occur, with the selector's a and k."""
+    m, nt = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    decimals = draw(st.sampled_from([1, 2]))
+    cells = st.floats(0.0, 1.0).map(lambda v: round(v, decimals))
+    scores = draw(st.lists(cells, min_size=m * nt, max_size=m * nt))
+    a = draw(st.sampled_from([0.0, 1.0, 2.0]))
+    k = draw(st.sampled_from([1, 10, 1000]))
+    return np.reshape(scores, (m, nt)), BfdrConfig(q=0.5, a=a, k=k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    small_panels(),
+    st.sampled_from(ORIENTATIONS),
+    st.lists(st.floats(1e-3, 0.999), min_size=2, max_size=5, unique=True).map(sorted),
+    st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2).map(sorted),
+)
+def test_detect_flags_monotone_in_q_and_c1(case, orientation, qs, c1s):
+    scores, bfdr = case
+    lo, hi = (
+        detect(scores, None, DetectConfig(bfdr, c1=c1, orientation=orientation), q_values=qs)
+        for c1 in c1s
+    )
+    # eta_s never decreases as q grows; an infeasible cell is below every eta
+    eta_s = np.where(lo.feasible, lo.eta_s, -np.inf)
+    assert np.all(eta_s[:-1] <= eta_s[1:])
+    smaller_q, larger_q = lo.flags_bfdr[:-1], lo.flags_bfdr[1:]
+    if orientation == "null_score":
+        # a looser null-score threshold flags a superset
+        assert not np.any(smaller_q & ~larger_q)
+    else:
+        # a higher raw threshold flags a subset, where both levels are feasible
+        both = (lo.feasible[:-1] & lo.feasible[1:])[:, None, :]
+        assert not np.any(both & larger_q & ~smaller_q)
+    # a larger miss cost lowers every cutoff, for both methods
+    assert not np.any(lo.flags_bfdr & ~hi.flags_bfdr)
+    assert not np.any(lo.flags_fixed & ~hi.flags_fixed)
 
 
 def test_detect_confusion_counts(panel):
@@ -295,7 +356,6 @@ def _tiny_report():
         t_index=np.arange(3) + 4,
         qs=(0.3, 2.0**-15),
         baseline_etas=(0.3, 0.7),
-        m=2,
         eta_s=eta_s,
         eta_r=1.0 - eta_s,
         feasible=~np.isnan(eta_s),
@@ -318,7 +378,7 @@ def _tiny_report():
 
 def test_write_report_frozen_bytes(tmp_path):
     paths = write_report(_tiny_report(), tmp_path)
-    got = {name: open(path, "rb").read() for name, path in paths.items()}
+    got = {name: Path(path).read_bytes() for name, path in paths.items()}
     assert got == {
         "thresholds": b"t,q,eta_s,eta_r,feasible\r\n"
         b"4,0.3,0.25,0.75,1\r\n"
