@@ -66,11 +66,11 @@ def parse_level_grid(spec: str, option: str = "--q-grid"):
     return [one(tok) for tok in spec.split(",") if tok.strip()]
 
 
-def _parse_pair(text: str, n: int, name: str):
+def _parse_pair(text: str, n: int, name: str) -> list:
     parts = _number_list(text, name)
     if len(parts) != n:
         raise ValueError(f"{name} expects {n} comma-separated values")
-    return tuple(parts)
+    return parts
 
 
 class _Parser(argparse.ArgumentParser):
@@ -201,10 +201,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="predfdr", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    default_out = os.environ.get(OUT_ENV, ".")
+    # every data-producing subcommand writes to --out and can replay a manifest
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out", default=os.environ.get(OUT_ENV, "."))
+    outputs.add_argument("--from-manifest", default=None)
 
-    p = sub.add_parser("simulate", help="generate a synthetic panel", parents=[])
-    p.add_argument("--out", default=default_out)
+    p = sub.add_parser("simulate", help="generate a synthetic panel", parents=[outputs])
     p.add_argument("--m", type=int, default=1000)
     p.add_argument("--t", dest="t_len", type=int, default=2000)
     p.add_argument("--lag", type=int, default=30)
@@ -218,15 +220,13 @@ def build_parser() -> _Parser:
         action="store_true",
         help="recenter outlier draws onto the signal mean",
     )
-    p.add_argument("--from-manifest", default=None)
 
-    p = sub.add_parser("detect", help="score a panel and select thresholds")
+    p = sub.add_parser("detect", help="score a panel and select thresholds", parents=[outputs])
     p.add_argument("--data", required=False)
     p.add_argument("--truth", default=None)
-    p.add_argument("--out", default=default_out)
     p.add_argument("--lag", type=int, default=30)
     p.add_argument("--prior", default="0,0.0001,0.01,0.01", help="mu0,nu,alpha,beta")
-    p.add_argument("--q-grid", default="2^-1..2^-15")
+    p.add_argument("--q-grid", dest="q_values", metavar="Q_GRID", default="2^-1..2^-15")
     p.add_argument("--a", type=float, default=2.0)
     p.add_argument("--k", type=int, default=1000)
     p.add_argument("--c1", type=float, default=0.0)
@@ -234,22 +234,21 @@ def build_parser() -> _Parser:
     p.add_argument("--orientation", choices=ORIENTATIONS, default="null_score")
     p.add_argument("--two-sided", action="store_true")
     p.add_argument("--threads", type=int, default=_usable_cpus())
-    p.add_argument("--from-manifest", default=None)
 
-    p = sub.add_parser("bench", help="time the two selector implementations")
-    p.add_argument("--out", default=default_out)
+    p = sub.add_parser("bench", help="time the two selector implementations", parents=[outputs])
     p.add_argument("--replications", type=int, default=100)
     p.add_argument("--m", type=int, default=1000)
     p.add_argument("--a", type=float, default=2.0)
     p.add_argument("--q", type=float, default=0.2)
-    p.add_argument("--k", default="10000", help="comma-separated grid sizes")
+    p.add_argument(
+        "--k", dest="k_values", metavar="K", default="10000", help="comma-separated grid sizes"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--paper",
         action="store_true",
         help="reference configuration: 1500 replications, m=1000, a=2, q=0.2, k=10000",
     )
-    p.add_argument("--from-manifest", default=None)
 
     p = sub.add_parser("validate", help="run the property-check suites")
     p.add_argument("--full", action="store_true")
@@ -258,50 +257,40 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Parsers of the text options, by dest; every other value is kept as parsed.
+_TEXT_OPTIONS = {
+    "mean_params": lambda text: _parse_pair(text, 3, "--mean-params"),
+    "sd_inlier": lambda text: _parse_pair(text, 2, "--sd-inlier"),
+    "sd_outlier": lambda text: _parse_pair(text, 2, "--sd-outlier"),
+    "prior": lambda text: _parse_pair(text, 4, "--prior"),
+    "q_values": parse_level_grid,
+    "k_values": lambda text: _number_list(text, "--k", int),
+}
+
+
 def _config_from_args(args: argparse.Namespace) -> dict:
-    if args.subcommand == "simulate":
-        return {
-            "out": args.out,
-            "m": args.m,
-            "t_len": args.t_len,
-            "lag": args.lag,
-            "rate": args.rate,
-            "seed": args.seed,
-            "mean_params": list(_parse_pair(args.mean_params, 3, "--mean-params")),
-            "sd_inlier": list(_parse_pair(args.sd_inlier, 2, "--sd-inlier")),
-            "sd_outlier": list(_parse_pair(args.sd_outlier, 2, "--sd-outlier")),
-            "recenter": bool(args.recenter),
-        }
-    if args.subcommand == "detect":
-        if not args.data:
-            raise ValueError("detect requires --data (or --from-manifest)")
-        return {
-            "out": args.out,
-            "data": args.data,
-            "truth": args.truth,
-            "lag": args.lag,
-            "prior": list(_parse_pair(args.prior, 4, "--prior")),
-            "q_values": parse_level_grid(args.q_grid),
-            "a": args.a,
-            "k": args.k,
-            "c1": args.c1,
-            "baseline_etas": args.baseline_etas,
-            "orientation": args.orientation,
-            "two_sided": bool(args.two_sided),
-            "threads": args.threads,
-        }
-    if args.subcommand == "bench":
-        return {
-            "out": args.out,
-            "replications": args.replications,
-            "m": args.m,
-            "a": args.a,
-            "q": args.q,
-            "k_values": _number_list(str(args.k), "--k", int),
-            "seed": args.seed,
-            "paper": bool(args.paper),
-        }
-    return {"full": bool(args.full), "seed": args.seed}
+    """The resolved configuration: every option in declaration order."""
+    if args.subcommand == "detect" and not args.data:
+        raise ValueError("detect requires --data (or --from-manifest)")
+    return {
+        key: _TEXT_OPTIONS[key](value) if key in _TEXT_OPTIONS else value
+        for key, value in vars(args).items()
+        if key not in ("subcommand", "from_manifest")
+    }
+
+
+def _replayed_config(args: argparse.Namespace, argv: list) -> dict:
+    """The manifest's config, replayed by the subcommand it records and
+    with no other option typed."""
+    manifest = json.loads(Path(args.from_manifest).read_text())
+    typed = {tok.partition("=")[0] for tok in argv[1:] if tok.startswith("--")}
+    others = sorted(tok for tok in typed if not "--from-manifest".startswith(tok))
+    if others or manifest["subcommand"] != args.subcommand:
+        raise ValueError(
+            f"--from-manifest {args.from_manifest} replays {manifest['subcommand']} "
+            f"with no other option; got {' '.join([args.subcommand, *others])}"
+        )
+    return manifest["config"]
 
 
 _RUNNERS = {
@@ -315,15 +304,13 @@ _RUNNERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
+        argv = sys.argv[1:] if argv is None else list(argv)
         args = parser.parse_args(argv)
         if getattr(args, "from_manifest", None):
-            manifest = json.loads(Path(args.from_manifest).read_text())
-            sub = manifest["subcommand"]
-            config = manifest["config"]
+            config = _replayed_config(args, argv)
         else:
-            sub = args.subcommand
             config = _config_from_args(args)
-        return _RUNNERS[sub](config)
+        return _RUNNERS[args.subcommand](config)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

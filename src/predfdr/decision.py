@@ -32,7 +32,7 @@ class LossParams:
     c2: float
 
     def __post_init__(self) -> None:
-        if self.c1 < 0.0 or self.c2 < 0.0:
+        if not (self.c1 >= 0.0 and self.c2 >= 0.0):  # NaN fails too
             raise ValueError("LossParams requires c1 >= 0 and c2 >= 0")
 
 
@@ -72,14 +72,15 @@ def bayes_rule(batch: ScoreBatch, params: LossParams) -> np.ndarray:
 
     Ties at the boundary are not flagged (either choice is optimal).
     """
-    return batch.scores > params.c2 / (1.0 + params.c1)
+    return threshold_flags(batch.scores, params.c2, params.c1, "raw_score")
 
 
 def c_algebra(eta: float, c1: float) -> float:
     """Flag cost c2 that makes the optimal rule's cutoff equal eta: (1+c1)*eta."""
-    if c1 < 0.0:
+    if not c1 >= 0.0:  # NaN fails too
         raise ValueError("c1 must be nonnegative")
     return (1.0 + c1) * eta
+
 
 def c_algebra_inv(c2: float, eta: float) -> float:
     """Miss cost c1 recovered from c2 and a nonzero cutoff eta."""
@@ -111,8 +112,11 @@ def threshold_flags(rates, eta, c1: float = 0.0, orientation: str = "null_score"
     broadcasts against ``rates``.  It is mapped back to the outlier-probability
     scale (eta_r = 1 - eta under the default null-score orientation) before
     the strict comparison r > eta_r / (1 + c1).  A NaN or None threshold is
-    infeasible and flags nothing, since r > NaN is False.
+    infeasible and flags nothing, since r > NaN is False.  The miss cost c1
+    must be a number >= 0.
     """
+    if not c1 >= 0.0:  # NaN fails too
+        raise ValueError(f"c1 must be >= 0, not {c1!r}")
     eta_r = orient(np.asarray(eta, dtype=float), orientation)
     return np.asarray(rates, dtype=float) > eta_r / (1.0 + c1)
 

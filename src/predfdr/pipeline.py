@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import decision
 from .bfdr import BfdrConfig, ScoreBatch, gbfdr
 from .decision import orient, threshold_flags
 from .predictive import NigParams, _window_scores
@@ -55,9 +56,9 @@ class DetectConfig:
     orientation: str = "null_score"
 
     def __post_init__(self) -> None:
-        if self.c1 < 0.0:
-            raise ValueError("DetectConfig requires c1 >= 0")
-        orient(0.0, self.orientation)  # raises on an unknown orientation
+        # raises on a bad c1 or orientation; called through the module so that
+        # validation is not mistaken for detect's own use of the flag rule
+        decision.threshold_flags(0.0, 0.0, self.c1, self.orientation)
         if self.baseline_etas is not None:
             etas = tuple(float(e) for e in self.baseline_etas)
             if any(not 0.0 < e < 1.0 for e in etas):

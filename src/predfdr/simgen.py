@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -46,45 +46,13 @@ class SimSpec:
             raise ValueError("SimSpec requires 0 < lag < t_len")
         if not 0.0 <= self.outlier_rate < 1.0:
             raise ValueError("SimSpec requires outlier_rate in [0, 1)")
-        object.__setattr__(self, "mean_params", tuple(float(v) for v in self.mean_params))
-        object.__setattr__(
-            self, "sd_inlier_params", tuple(float(v) for v in self.sd_inlier_params)
-        )
-        object.__setattr__(
-            self, "sd_outlier_params", tuple(float(v) for v in self.sd_outlier_params)
-        )
+        for name in ("mean_params", "sd_inlier_params", "sd_outlier_params"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         for pair in (self.sd_inlier_params, self.sd_outlier_params):
             if len(pair) != 2 or min(pair) <= 0.0:
                 raise ValueError("sd ramps must be positive (start, end) pairs")
         if len(self.mean_params) != 3:
             raise ValueError("mean_params must be (base, growth, cycles)")
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "t_len": self.t_len,
-            "lag": self.lag,
-            "outlier_rate": self.outlier_rate,
-            "mean_params": list(self.mean_params),
-            "sd_inlier_params": list(self.sd_inlier_params),
-            "sd_outlier_params": list(self.sd_outlier_params),
-            "recenter_outliers": self.recenter_outliers,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimSpec":
-        return cls(
-            m=int(d["m"]),
-            t_len=int(d["t_len"]),
-            lag=int(d["lag"]),
-            outlier_rate=float(d["outlier_rate"]),
-            mean_params=tuple(d["mean_params"]),
-            sd_inlier_params=tuple(d["sd_inlier_params"]),
-            sd_outlier_params=tuple(d["sd_outlier_params"]),
-            recenter_outliers=bool(d["recenter_outliers"]),
-            seed=int(d["seed"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -156,7 +124,7 @@ def save_sim(data: SimData, out_dir) -> dict:
     }
     _write_matrix(paths["data"], data.values, "%.17g")
     _write_matrix(paths["truth"], data.truth.astype(int), "%d")
-    paths["simspec"].write_text(json.dumps(data.spec.to_dict(), indent=2) + "\n")
+    paths["simspec"].write_text(json.dumps(asdict(data.spec), indent=2) + "\n")
     return {k: str(v) for k, v in paths.items()}
 
 
@@ -209,7 +177,14 @@ def as_truth(mat: np.ndarray, path) -> np.ndarray:
 def load_sim(sim_dir) -> SimData:
     """Reload a saved simulation directory; signal paths are recomputed."""
     d = Path(sim_dir)
-    spec = SimSpec.from_dict(json.loads((d / "simspec.json").read_text()))
+    raw = json.loads((d / "simspec.json").read_text())
+    keys = {f.name for f in fields(SimSpec)}
+    if set(raw) != keys:
+        raise ValueError(
+            f"{d / 'simspec.json'}: missing keys {sorted(keys - set(raw))}, "
+            f"unknown keys {sorted(set(raw) - keys)}"
+        )
+    spec = SimSpec(**raw)
     values = load_matrix_csv(d / "data.csv")
     truth = as_truth(load_matrix_csv(d / "truth.csv"), d / "truth.csv")
     mu, sd_in, sd_out = gen_signal(spec)

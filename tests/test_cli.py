@@ -221,6 +221,8 @@ def test_detect_mismatched_truth_shape(tmp_path):
         pytest.param(
             "--prior", "0,x,1,1", "--prior '0,x,1,1': 'x' is not a number", id="prior=0,x,1,1"
         ),
+        pytest.param("--c1", "nan", "c1 must be >= 0, not nan", id="c1=nan"),
+        pytest.param("--c1", "-1", "c1 must be >= 0, not -1.0", id="c1=-1"),
     ],
 )
 def test_detect_bad_level_grid_fails_before_scoring(
@@ -232,7 +234,11 @@ def test_detect_bad_level_grid_fails_before_scoring(
     def no_scoring(*args, **kwargs):
         raise AssertionError("scored before the levels were checked")
 
+    def no_input(*args, **kwargs):
+        raise AssertionError("read input before the settings were checked")
+
     monkeypatch.setattr("predfdr.cli.lagged_scores", no_scoring)
+    monkeypatch.setattr("predfdr.cli.load_matrix_csv", no_input)
     argv = detect_argv(sim, tmp_path / "det")
     if option in argv:
         argv[argv.index(option) + 1] = grid
@@ -266,6 +272,56 @@ def test_detect_threads_default_follows_affinity(monkeypatch):
     # where affinity is unknown, every host CPU counts
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert build_parser().parse_args(["detect"]).threads == 8
+
+
+# ---------------------------------------------------------------- manifests
+
+
+def test_manifest_config_frozen(tmp_path):
+    # old manifests replay only while every key keeps its name and order
+    sim = tmp_path / "sim"
+    extra = ["--mean-params", "1,2,3", "--sd-inlier", "0.25,1", "--sd-outlier", "2,4"]
+    assert run_simulate(sim, extra) == 0
+    extra = ["--prior", "0,0.001,0.5,0.5", "--c1", "0.3", "--two-sided"]
+    assert main(detect_argv(sim, tmp_path / "det", extra)) == 0
+    argv = ["bench", "--out", str(tmp_path / "bench"), "--replications", "2", "--m", "20"]
+    assert main([*argv, "--k", "20,40", "--seed", "2"]) == 0
+    config = {
+        sub: json.loads((tmp_path / sub / "manifest.json").read_text())["config"]
+        for sub in ("sim", "det", "bench")
+    }
+    assert " ".join(config["sim"]) == (
+        "out m t_len lag rate seed mean_params sd_inlier sd_outlier recenter"
+    )
+    assert " ".join(config["det"]) == (
+        "out data truth lag prior q_values a k c1 baseline_etas orientation two_sided threads"
+    )
+    assert " ".join(config["bench"]) == "out replications m a q k_values seed paper"
+    assert config["sim"]["mean_params"] == [1.0, 2.0, 3.0]
+    assert config["sim"]["sd_inlier"] == [0.25, 1.0]
+    assert config["sim"]["sd_outlier"] == [2.0, 4.0]
+    assert config["det"]["prior"] == [0.0, 0.001, 0.5, 0.5]
+    assert config["det"]["q_values"] == [0.5, 0.25, 0.125, 0.0625]
+    assert config["bench"]["k_values"] == [20, 40]
+
+
+def test_replay_rejects_other_subcommand_or_options(tmp_path, capsys):
+    # a replay that ran another subcommand, or dropped a typed option, would
+    # exit 0 having done something other than what was asked
+    sim = tmp_path / "sim"
+    assert run_simulate(sim) == 0
+    before = (sim / "data.csv").stat().st_mtime_ns
+    manifest = str(sim / "manifest.json")
+    assert main(["detect", "--from-manifest", manifest]) == 1
+    assert f"--from-manifest {manifest} replays simulate" in capsys.readouterr().err
+    for extra in (["--m", "3"], [f"--out={tmp_path / 'elsewhere'}"]):
+        assert main(["simulate", "--from-manifest", manifest, *extra]) == 1
+        assert f"got simulate {extra[0].partition('=')[0]}" in capsys.readouterr().err
+    assert (sim / "data.csv").stat().st_mtime_ns == before
+    assert not (tmp_path / "elsewhere").exists()
+    # the option itself may be abbreviated or joined to its value
+    assert main(["simulate", f"--from-manifest={manifest}"]) == 0
+    assert main(["simulate", "--from-man", manifest]) == 0
 
 
 # -------------------------------------------------------------------- bench

@@ -22,6 +22,11 @@ def test_loss_params_validation():
         LossParams(-0.1, 0.5)
     with pytest.raises(ValueError):
         LossParams(0.1, -0.5)
+    for c1 in (-2.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            LossParams(c1, 0.5)
+    with pytest.raises(ValueError):
+        LossParams(0.1, np.nan)
 
 
 def test_loss_eval_hand_case():
@@ -111,8 +116,9 @@ def test_c_algebra_roundtrip():
             assert c_algebra_inv(c_algebra(eta, c1), eta) == pytest.approx(c1, abs=1e-12)
     with pytest.raises(ValueError):
         c_algebra_inv(0.5, 0.0)
-    with pytest.raises(ValueError):
-        c_algebra(0.5, -1.0)
+    for c1 in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            c_algebra(0.5, c1)
 
 
 def test_threshold_flags_null_score_mapping():
@@ -158,6 +164,18 @@ def test_threshold_flags_bad_orientation():
         threshold_flags(np.array([0.5]), 0.5, orientation="x")
     with pytest.raises(ValueError, match="orientation must be"):
         threshold_flags(np.array([0.5]), None, orientation="x")
+
+
+@pytest.mark.parametrize("c1", [-2.0, -1.0, np.nan])
+def test_negative_or_nan_miss_cost_is_rejected(c1):
+    # -2 would flag every rate, -1 divides by zero, NaN would flag nothing
+    rates = np.array([0.1, 0.5, 0.9])
+    with pytest.raises(ValueError, match="c1 must be >= 0"):
+        threshold_flags(rates, 0.7, c1=c1)
+    with pytest.raises(ValueError, match="c1 must be >= 0"):
+        threshold_flags(rates, None, c1=c1)
+    with pytest.raises(ValueError, match="c1 must be >= 0"):
+        bfdr_coupled_rule(ScoreBatch(rates), BfdrConfig(q=0.2, k=10), c1=c1)
 
 
 def test_orient_is_its_own_inverse():

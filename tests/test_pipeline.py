@@ -200,6 +200,15 @@ def test_detect_thread_determinism(panel):
     assert np.array_equal(one.feasible, four.feasible)
 
 
+def test_detect_config_rejects_bad_miss_cost():
+    # c1 and the orientation are checked by the flag rule itself
+    for c1 in (-2.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="c1 must be >= 0"):
+            DetectConfig(bfdr=BfdrConfig(q=0.2), c1=c1)
+    with pytest.raises(ValueError, match="orientation must be"):
+        DetectConfig(bfdr=BfdrConfig(q=0.2), orientation="sideways")
+
+
 def test_detect_shape_errors(panel):
     scores = lagged_scores(panel.values, DIFFUSE_PRIOR, 8)
     cfg = DetectConfig(bfdr=BfdrConfig(q=0.2))

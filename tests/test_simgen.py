@@ -1,6 +1,8 @@
 """Synthetic panel generator: determinism, signal shapes, contamination, IO."""
 import json
 import math
+import re
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ def test_spec_validation():
 
 def test_spec_dict_roundtrip():
     spec = small_spec(outlier_rate=0.1, recenter_outliers=True)
-    again = SimSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    again = SimSpec(**json.loads(json.dumps(asdict(spec))))
     assert again == spec
 
 
@@ -98,7 +100,7 @@ def test_contamination_rate_matches():
 def test_recenter_shifts_outlier_cells_by_mu():
     base = small_spec(outlier_rate=0.3)
     lit = gen_data(base)
-    rec = gen_data(SimSpec.from_dict({**base.to_dict(), "recenter_outliers": True}))
+    rec = gen_data(replace(base, recenter_outliers=True))
     assert np.array_equal(lit.truth, rec.truth)
     diff = lit.values - rec.values
     mu_row = np.broadcast_to(lit.mu, lit.values.shape)
@@ -139,6 +141,25 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(again.values, data.values)  # %.17g is lossless
     assert np.array_equal(again.truth, data.truth)
     assert np.allclose(again.mu, data.mu)
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda d: d.pop("sd_outlier_params"), "missing keys ['sd_outlier_params']"),
+        (lambda d: d.update(rate=0.1), "unknown keys ['rate']"),
+    ],
+)
+def test_load_sim_rejects_missing_or_unknown_spec_key(tmp_path, edit, named):
+    # a missing key must not fall back to its default, or the reloaded signal
+    # paths would come from a spec the data was not drawn from
+    save_sim(gen_data(small_spec()), tmp_path)
+    path = tmp_path / "simspec.json"
+    d = json.loads(path.read_text())
+    edit(d)
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_sim(tmp_path)
 
 
 def test_load_matrix_csv_empty_file(tmp_path):
