@@ -18,7 +18,7 @@ from .bench import BenchSpec, reference_spec, run_bench, write_bench_csv
 from .decision import ORIENTATIONS
 from .pipeline import DetectConfig, detect, lagged_scores, write_report, write_scores_csv
 from .predictive import NigParams
-from .simgen import SimSpec, as_truth, gen_data, load_matrix_csv, save_sim
+from .simgen import SimSpec, as_truth, gen_data, json_type_error, load_matrix_csv, save_sim
 from .validation import run_checks
 
 OUT_ENV = "PREDFDR_OUT"
@@ -111,6 +111,8 @@ def _run_simulate(config: dict) -> int:
 
 
 def _run_detect(config: dict) -> int:
+    if not config["data"]:
+        raise ValueError("detect requires --data (or --from-manifest)")
     out = Path(config["out"])
     lag = config["lag"]
     prior = NigParams(*config["prior"])
@@ -270,8 +272,6 @@ _TEXT_OPTIONS = {
 
 def _config_from_args(args: argparse.Namespace) -> dict:
     """The resolved configuration: every option in declaration order."""
-    if args.subcommand == "detect" and not args.data:
-        raise ValueError("detect requires --data (or --from-manifest)")
     return {
         key: _TEXT_OPTIONS[key](value) if key in _TEXT_OPTIONS else value
         for key, value in vars(args).items()
@@ -279,18 +279,57 @@ def _config_from_args(args: argparse.Namespace) -> dict:
     }
 
 
-def _replayed_config(args: argparse.Namespace, argv: list) -> dict:
+# keys of options since removed, which replay ignores: every selector route
+# gave the same thresholds
+_RETIRED_KEYS = {"detect": {"algorithm"}}
+
+
+def _replayed_config(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list
+) -> dict:
     """The manifest's config, replayed by the subcommand it records and
-    with no other option typed."""
+    with no other option typed.
+
+    Its keys must be the subcommand's options, and each value must have the
+    type that parsing its option gives.
+    """
+    source = f"--from-manifest {args.from_manifest}"
     manifest = json.loads(Path(args.from_manifest).read_text())
+    if not (
+        isinstance(manifest, dict)
+        and "subcommand" in manifest
+        and isinstance(manifest.get("config"), dict)
+    ):
+        raise ValueError(f"{source}: not a manifest with a subcommand and a config object")
     typed = {tok.partition("=")[0] for tok in argv[1:] if tok.startswith("--")}
     others = sorted(tok for tok in typed if not "--from-manifest".startswith(tok))
     if others or manifest["subcommand"] != args.subcommand:
         raise ValueError(
-            f"--from-manifest {args.from_manifest} replays {manifest['subcommand']} "
+            f"{source} replays {manifest['subcommand']} "
             f"with no other option; got {' '.join([args.subcommand, *others])}"
         )
-    return manifest["config"]
+    defaults = _config_from_args(parser.parse_args([args.subcommand]))
+    config = {
+        key: value
+        for key, value in manifest["config"].items()
+        if key not in _RETIRED_KEYS.get(args.subcommand, ())
+    }
+    if set(config) != set(defaults):
+        raise ValueError(
+            f"{source}: missing config keys {sorted(set(defaults) - set(config))}, "
+            f"unknown config keys {sorted(set(config) - set(defaults))}"
+        )
+    for key, default in defaults.items():
+        wrong = json_type_error(config[key], default)
+        if not wrong and key in _TEXT_OPTIONS:
+            # the option's own parser checks the count and integer items
+            try:
+                config[key] = _TEXT_OPTIONS[key](",".join(map(repr, config[key])))
+            except ValueError as exc:
+                wrong = str(exc)
+        if wrong:
+            raise ValueError(f"{source}: config key {key!r}: {wrong}")
+    return config
 
 
 _RUNNERS = {
@@ -307,7 +346,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:] if argv is None else list(argv)
         args = parser.parse_args(argv)
         if getattr(args, "from_manifest", None):
-            config = _replayed_config(args, argv)
+            config = _replayed_config(parser, args, argv)
         else:
             config = _config_from_args(args)
         return _RUNNERS[args.subcommand](config)

@@ -248,6 +248,32 @@ def _write_csv(path: Path, header, rows) -> str:
     return str(path)
 
 
+# flags.csv rows formatted per write: bounds the memory a dense level takes
+_FLAG_CHUNK = 65536
+
+
+def _write_flags(path: Path, report: DetectionReport) -> str:
+    """flags.csv as csv.writer would write it: one row per flagged cell, by
+    method, level, series, then timestep."""
+    nt = report.t_index.size
+    t_cells = np.array([f"{t}," for t in report.t_index.tolist()], dtype=object)
+    series = report.flags_bfdr.shape[1]
+    j_cells = np.array([f"{j}\r\n" for j in range(series)], dtype=object)
+    with open(path, "w", newline="") as fh:
+        fh.write("method,q,t,series\r\n")
+        for method, levels, cube in (
+            ("bfdr", report.qs, report.flags_bfdr),
+            ("fixed", report.baseline_etas, report.flags_fixed),
+        ):
+            for level, flags in zip(levels, cube):
+                head = f"{method},{level!r},"
+                cells = np.flatnonzero(flags)
+                for lo in range(0, cells.size, _FLAG_CHUNK):
+                    j, ti = np.divmod(cells[lo : lo + _FLAG_CHUNK], nt)
+                    fh.write(head + head.join((t_cells[ti] + j_cells[j]).tolist()))
+    return str(path)
+
+
 def write_report(report: DetectionReport, out_dir) -> dict:
     """Write thresholds.csv, flags.csv and, when metrics exist, metrics.csv
     and diff.csv.
@@ -273,23 +299,11 @@ def write_report(report: DetectionReport, out_dir) -> dict:
         for t, q, feas, eta_s, eta_r in rows:
             yield (t, q, eta_s, eta_r, 1) if feas else (t, q, "", "", 0)
 
-    def flag_rows():
-        for method, levels, cube in (
-            ("bfdr", report.qs, report.flags_bfdr),
-            ("fixed", report.baseline_etas, report.flags_fixed),
-        ):
-            # one level at a time, so the rows never all sit in memory
-            for level, flags in zip(levels, cube):
-                js, tis = np.nonzero(flags)
-                level = repr(level)
-                for t, j in zip(report.t_index[tis].tolist(), js.tolist()):
-                    yield (method, level, t, j)
-
     paths = {
         "thresholds": _write_csv(
             out / "thresholds.csv", ["t", "q", "eta_s", "eta_r", "feasible"], threshold_rows()
         ),
-        "flags": _write_csv(out / "flags.csv", ["method", "q", "t", "series"], flag_rows()),
+        "flags": _write_flags(out / "flags.csv", report),
     }
     if report.metrics_bfdr is not None:
         bfdr = [report.metrics_bfdr[name] for name in METRIC_NAMES]

@@ -128,32 +128,75 @@ def save_sim(data: SimData, out_dir) -> dict:
     return {k: str(v) for k, v in paths.items()}
 
 
+# what csv.reader reads as a row of no cells, and the end of the file
+_BLANK = ("", "\n", "\r", "\r\n")
+
+
 def load_matrix_csv(path) -> np.ndarray:
     """Read a headered CSV matrix written by save_sim.
 
-    Trailing empty lines are ignored.  A ragged row or a cell that is not a
-    number is reported by its row and column; rows are counted from 1 below
-    the header, columns from 1.
+    A cell is a number as np.loadtxt reads one: Python's float() syntax
+    (surrounding spaces, 'nan' and 'inf' included) without '_' digit
+    separators or non-ASCII digits.  Trailing empty lines are ignored.  A
+    missing or ragged row, a row of another width than the header, or a cell
+    that is not a number is reported by its row and column; rows are counted
+    from 1 below the header, columns from 1.
     """
+    with open(path, newline="") as fh:
+        width = len(next(csv.reader(fh), []))
+        first = next(fh, "")
+        last = 1  # body line number of the last non-blank line
+
+        def body():
+            nonlocal last
+            yield first
+            for n, line in enumerate(fh, start=2):
+                if line not in _BLANK:
+                    last = n
+                yield line
+
+        # a blank first body line is a missing row or no rows at all
+        if first not in _BLANK:
+            try:
+                mat = np.loadtxt(body(), delimiter=",", ndmin=2, comments=None)
+            except ValueError:
+                pass
+            else:
+                # loadtxt skips blank lines, so fewer rows than `last` means a
+                # blank line mid-file
+                if mat.shape == (last, width):
+                    return mat
+    # the csv reader parses what loadtxt cannot (quoted cells) and names the
+    # first bad cell of what neither can
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     while rows and not rows[-1]:
         rows.pop()
     if not rows:
         raise ValueError(f"empty CSV: {path}")
+    if len(rows) == 1:
+        raise ValueError(f"{path}: no data rows below the header")
     body = rows[1:]
-    try:
-        return np.array([[float(c) for c in row] for row in body])
-    except ValueError as exc:
-        # located only once the fast parse has failed
-        raise ValueError(f"{path}: {_first_bad_cell(body, len(rows[0])) or exc}") from None
+    bad = _first_bad_cell(body, len(rows[0]))
+    if bad:
+        raise ValueError(f"{path}: {bad}")
+    return np.array([[_cell_value(c) for c in row] for row in body])
+
+
+def _cell_value(cell: str) -> float:
+    """float(cell) under np.loadtxt's rule, which rejects '_' separators and
+    non-ASCII digits that float() accepts."""
+    text = cell.strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(cell)
+    return float(text)
 
 
 def _first_bad_cell(body: list, width: int) -> Optional[str]:
     for r, row in enumerate(body, start=1):
         for c, cell in enumerate(row, start=1):
             try:
-                float(cell)
+                _cell_value(cell)
             except ValueError:
                 return f"row {r}, column {c}: {cell!r} is not a number"
         if len(row) != width:
@@ -174,6 +217,32 @@ def as_truth(mat: np.ndarray, path) -> np.ndarray:
     return mat.astype(bool)
 
 
+# accepted JSON types, by the type of a setting's default, and their name
+_JSON_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    type(None): ((str, type(None)), "a string or null"),
+}
+
+
+def json_type_error(value, default) -> Optional[str]:
+    """Why a setting's value read from JSON does not have the type of its
+    ``default``, or None when it does.
+
+    An integer passes for a float (but true and false pass for neither), and
+    a list for a tuple or list whose items each pass for its first item.
+    """
+    if isinstance(default, (tuple, list)):
+        item = default[0]
+        if isinstance(value, list) and not any(json_type_error(v, item) for v in value):
+            return None
+        return f"{value!r} is not a list whose items are each {_JSON_TYPES[type(item)][1]}"
+    types, name = _JSON_TYPES[type(default)]
+    return None if type(value) in types else f"{value!r} is not {name}"
+
+
 def load_sim(sim_dir) -> SimData:
     """Reload a saved simulation directory; signal paths are recomputed."""
     d = Path(sim_dir)
@@ -184,6 +253,10 @@ def load_sim(sim_dir) -> SimData:
             f"{d / 'simspec.json'}: missing keys {sorted(keys - set(raw))}, "
             f"unknown keys {sorted(set(raw) - keys)}"
         )
+    for f in fields(SimSpec):
+        wrong = json_type_error(raw[f.name], f.default)
+        if wrong:
+            raise ValueError(f"{d / 'simspec.json'}: field {f.name!r}: {wrong}")
     spec = SimSpec(**raw)
     values = load_matrix_csv(d / "data.csv")
     truth = as_truth(load_matrix_csv(d / "truth.csv"), d / "truth.csv")

@@ -324,6 +324,41 @@ def test_replay_rejects_other_subcommand_or_options(tmp_path, capsys):
     assert main(["simulate", "--from-man", manifest]) == 0
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda m: m["config"].pop("rate"), "missing config keys ['rate']"),
+        (lambda m: m["config"].update(m="5"), "config key 'm': '5' is not an integer"),
+        (lambda m: m["config"].update(bogus=1), "unknown config keys ['bogus']"),
+        (
+            lambda m: m["config"].update(recenter="yes"),
+            "config key 'recenter': 'yes' is not true or false",
+        ),
+        (
+            lambda m: m["config"].update(mean_params=[1, 2]),
+            "config key 'mean_params': --mean-params expects 3 comma-separated values",
+        ),
+        (lambda m: m.update(config=[1, 2]), "not a manifest with a subcommand and a config"),
+        (lambda m: m.pop("subcommand"), "not a manifest with a subcommand and a config"),
+    ],
+)
+def test_replay_rejects_bad_config(tmp_path, capsys, edit, named):
+    # a hand-edited manifest fails by the key, before anything runs
+    sim = tmp_path / "sim"
+    assert run_simulate(sim) == 0
+    manifest = json.loads((sim / "manifest.json").read_text())
+    manifest["config"]["out"] = str(tmp_path / "again")
+    edit(manifest)
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["simulate", "--from-manifest", str(replay)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --from-manifest {replay}: ")
+    assert named in err
+    assert not (tmp_path / "again").exists()
+
+
 # -------------------------------------------------------------------- bench
 
 

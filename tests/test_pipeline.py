@@ -425,6 +425,43 @@ def test_write_report_frozen_bytes(tmp_path):
     }
 
 
+def test_flags_csv_matches_csv_writer(tmp_path):
+    # flags.csv is formatted by hand, in chunks of rows; csv.writer over one
+    # row per flagged cell, by method, level, series, then timestep, is the
+    # reference
+    rng = np.random.default_rng(7)
+    m, nt, t_offset = 1000, 70, 30
+    density = np.array([0.0, 1.0, 0.3, 0.01])[:, None, None]
+    # an empty level, an all-flagged one of 70000 rows, a dense and a sparse one
+    flags_bfdr = rng.random((4, m, nt)) < density
+    flags_fixed = rng.random((3, m, nt)) < 0.05
+    eta_s = np.full((4, nt), 0.1)
+    report = DetectionReport(
+        t_index=np.arange(nt) + t_offset,
+        qs=(0.5, 2.0**-3, 2.0**-15, 0.1 + 0.2),
+        baseline_etas=(0.5, 2.0**-3, 0.01),
+        eta_s=eta_s,
+        eta_r=1.0 - eta_s,
+        feasible=np.ones((4, nt), dtype=bool),
+        flags_bfdr=flags_bfdr,
+        flags_fixed=flags_fixed,
+    )
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["method", "q", "t", "series"])
+        for method, levels, cube in (
+            ("bfdr", report.qs, flags_bfdr),
+            ("fixed", report.baseline_etas, flags_fixed),
+        ):
+            for level, flags in zip(levels, cube):
+                for j, ti in zip(*np.nonzero(flags)):
+                    wr.writerow([method, repr(level), int(ti) + t_offset, int(j)])
+    paths = write_report(report, tmp_path)
+    got = Path(paths["flags"]).read_bytes()
+    assert b"bfdr,3.0517578125e-05," in got
+    assert got == (tmp_path / "reference.csv").read_bytes()
+
+
 def test_write_report_without_truth(tmp_path, panel):
     scores = lagged_scores(panel.values, DIFFUSE_PRIOR, 8)
     rep = detect(scores, None, DetectConfig(bfdr=BfdrConfig(q=0.2)))

@@ -162,6 +162,26 @@ def test_load_sim_rejects_missing_or_unknown_spec_key(tmp_path, edit, named):
         load_sim(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("m", "3", "field 'm': '3' is not an integer"),
+        ("outlier_rate", None, "field 'outlier_rate': None is not a number"),
+        ("recenter_outliers", 1, "field 'recenter_outliers': 1 is not true or false"),
+        ("mean_params", "2,8,4", "field 'mean_params': '2,8,4' is not a list"),
+        ("sd_inlier_params", [0.5, "1"], "field 'sd_inlier_params': [0.5, '1'] is not a list"),
+    ],
+)
+def test_load_sim_rejects_mistyped_spec_value(tmp_path, field, value, named):
+    save_sim(gen_data(small_spec()), tmp_path)
+    path = tmp_path / "simspec.json"
+    d = json.loads(path.read_text())
+    d[field] = value
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {named}")):
+        load_sim(tmp_path)
+
+
 def test_load_matrix_csv_empty_file(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("")
@@ -175,15 +195,43 @@ def test_load_matrix_csv_ignores_trailing_empty_lines(tmp_path):
     assert np.array_equal(load_matrix_csv(p), [[1.0, 2.0], [3.0, 4.0]])
 
 
+@pytest.mark.parametrize("body", ["", "\n\n"])
+def test_load_matrix_csv_header_only_has_no_data_rows(tmp_path, body):
+    p = tmp_path / "x.csv"
+    p.write_text("t0,t1\n" + body)
+    with pytest.raises(ValueError, match=re.escape(f"{p}: no data rows")):
+        load_matrix_csv(p)
+
+
+def test_load_matrix_csv_reads_what_csv_reads(tmp_path):
+    # CRLF row ends, spaces around cells, nan and inf, a last row without a
+    # row end, and quoted cells, which only the csv reader parses
+    p = tmp_path / "x.csv"
+    p.write_bytes(b"t0,t1,t2\r\n 1.5 ,-2e-3,nan\r\n-inf,\t7,3\r\n\r\n")
+    got = load_matrix_csv(p)
+    assert np.array_equal(got, [[1.5, -2e-3, np.nan], [-np.inf, 7.0, 3.0]], equal_nan=True)
+    p.write_text('t0,t1\n"1",2\n3,"4.5"')
+    assert np.array_equal(load_matrix_csv(p), [[1.0, 2.0], [3.0, 4.5]])
+    p.write_text("t0\n1\n2\n")
+    assert load_matrix_csv(p).shape == (2, 1)
+
+
 @pytest.mark.parametrize(
     "body, where",
     [
         ("1,2,3\n4,5\n", "row 2, column 3"),
         ("1,2,3\n4,5,6,7\n", "row 2, column 4"),
         ("1,2,3\n4,x,6\n", "row 2, column 2: 'x' is not a number"),
+        ("1,2,3\n4,5,6#x\n", "row 2, column 3: '6#x' is not a number"),
         ("1,2,3\n\n4,5,6\n", "row 2, column 1"),
         ("\n1,2,3\n", "row 1, column 1: row has 0 cells, the header has 3"),
         ("1,2\n3,4,5\n", "row 1, column 3: row has 2 cells, the header has 3"),
+        # every row narrower, or wider, than the header
+        ("1,2\n3,4\n", "row 1, column 3: row has 2 cells, the header has 3"),
+        ("1,2,3,4\n5,6,7,8\n", "row 1, column 4: row has 4 cells, the header has 3"),
+        # float() reads both cells; np.loadtxt reads neither
+        ("1,2,3\n4,1_000,6\n", "row 2, column 2: '1_000' is not a number"),
+        ("1,2,3\n4,5,\u0661\n", "row 2, column 3: '\u0661' is not a number"),
     ],
 )
 def test_load_matrix_csv_names_first_bad_cell(tmp_path, body, where):
