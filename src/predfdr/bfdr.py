@@ -14,9 +14,14 @@ Three routes compute the generalised selector and return identical results:
   the same term vectors with the same pairwise reduction, and is kept with
   the looped scan as the pair the paper's benchmark times.
 - ``gbfdr_changepoint``, the production route: the selected set only changes
-  where a score enters the grid, so it sorts once, takes prefix sums, and
-  evaluates the looped scan's own masked sum only where rounding could flip
-  the criterion's sign.
+  where a score enters the grid, so it takes prefix sums over the sorted
+  scores, and evaluates the looped scan's own masked sum only where rounding
+  could flip the criterion's sign.
+
+The sort and the grid's block structure belong to the batch, not to a call:
+a ``ScoreBatch`` sorts its scores once and keeps the blocks of the last grid
+size asked for, so the levels ``detect`` selects on one timestep's batch
+share them.
 
 ``gbfdr`` runs the route named by ``BfdrConfig.algorithm``, the change-point
 route by default, which is the one the ``detect`` subcommand runs.
@@ -24,6 +29,7 @@ route by default, which is the one the ``detect`` subcommand runs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Literal, NamedTuple, Optional, get_args
 
@@ -59,19 +65,52 @@ class CapacityError(Exception):
 
 
 class ScoreBatch:
-    """Batch of per-item scores in [0, 1]."""
+    """Batch of per-item scores in [0, 1].
 
-    __slots__ = ("scores",)
+    The batch holds a read-only copy of the scores, so what it derives from
+    them stays valid: the stable-sorted scores, computed on first use, and
+    the grid blocks of the last grid size asked for.
+    """
+
+    __slots__ = ("scores", "_sorted", "_blocks")
 
     def __init__(self, scores) -> None:
-        arr = np.asarray(scores, dtype=float)
+        arr = np.array(scores, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("ScoreBatch requires a nonempty 1-d score sequence")
         if not np.all(np.isfinite(arr)):
             raise ValueError("ScoreBatch requires finite scores")
         if np.any((arr < 0.0) | (arr > 1.0)):
             raise ValueError("ScoreBatch requires scores in [0, 1]")
+        arr.flags.writeable = False
         self.scores = arr
+        self._sorted = None
+        self._blocks = None
+
+    def sorted_scores(self) -> np.ndarray:
+        """The scores in stable ascending order."""
+        if self._sorted is None:
+            s = self.scores[np.argsort(self.scores, kind="stable")]
+            s.flags.writeable = False
+            self._sorted = s
+        return self._sorted
+
+    def grid_blocks(self, k: int):
+        """Blocks of the sorted scores that enter the grid l / k together.
+
+        Sorted score i is selected from grid index e_i = min{l : s_i <= l/k}
+        onward.  Returns (ends, lo): the last sorted position of each run of
+        equal e_i, and the run's e_i.  On the grid indices lo[b] ..
+        lo[b + 1] - 1 (.. k for the last block) the selected set is the
+        sorted scores through position ends[b].
+        """
+        blocks = self._blocks
+        if blocks is None or blocks[0] != k:
+            grid = np.arange(k + 1, dtype=float) / k
+            entry = np.searchsorted(grid, self.sorted_scores(), side="left")
+            ends = np.flatnonzero(np.append(entry[1:] != entry[:-1], True))
+            blocks = self._blocks = (k, ends, entry[ends])
+        return blocks[1:]
 
     def __len__(self) -> int:
         return self.scores.size
@@ -94,8 +133,13 @@ class BfdrConfig:
             raise ValueError(f"BfdrConfig requires 0 < q < 1, got q={self.q!r}")
         if self.a < 0.0 or not math.isfinite(self.a):
             raise ValueError("BfdrConfig requires a >= 0")
-        if self.k < 1:
+        try:
+            k = operator.index(self.k)
+        except TypeError:
+            raise ValueError(f"BfdrConfig requires an integer k, got k={self.k!r}") from None
+        if k < 1:
             raise ValueError("BfdrConfig requires k >= 1")
+        object.__setattr__(self, "k", k)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {', '.join(ALGORITHMS)}")
 
@@ -202,36 +246,33 @@ _U = 2.0**-53
 def gbfdr_changepoint(batch: ScoreBatch, cfg: BfdrConfig) -> ThresholdResult:
     """Change-point selector, identical in result to the looped scan.
 
-    Score j is selected from grid index e_j = min{l : s_j <= l/k} onward, so
-    the selected set is constant on each block of grid indices between two
-    consecutive distinct e_j, and the looped scan's masked sum is the same
-    value throughout a block.  Sorting the scores once gives every block's
-    criterion as a prefix sum P of the sorted terms.  Any two summation orders
-    of the same n terms differ by at most 2 gamma_(n-1) sum|w| (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 4), which
-    tol = 4 m u sum|w| bounds, so P < -tol and P > tol fix the sign the
-    looped scan sees; only a block with |P| <= tol evaluates the looped scan's
-    own masked sum.  Blocks are walked from the top and the first negative
-    one is returned at its largest grid index, as the looped scan would.
+    The selected set is constant on each of the batch's grid blocks
+    (``ScoreBatch.grid_blocks``), so the looped scan's masked sum is the same
+    value throughout a block, and every block's criterion is a prefix sum P
+    of the terms of the batch's sorted scores.  The terms are elementwise, so
+    forming them on the sorted scores gives the looped scan's terms bit for
+    bit.  Any two summation orders of the same n terms differ by at most
+    2 gamma_(n-1) sum|w| (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 4), which tol = 4 m u sum|w| bounds, so P < -tol and
+    P > tol fix the sign the looped scan sees; only a block with |P| <= tol
+    evaluates the looped scan's own masked sum.  Blocks are walked from the
+    top and the first negative one is returned at its largest grid index, as
+    the looped scan would.
     """
-    s = batch.scores
-    m = s.size
     k = cfg.k
-    grid = np.arange(k + 1, dtype=float) / k
-    w = _signed_power(s, cfg.q, cfg.a)
-    order = np.argsort(s, kind="stable")
-    entry = np.searchsorted(grid, s[order], side="left")
-    w_sorted = w[order]
-    # last sorted position of each block, and the block's grid index range
-    ends = np.flatnonzero(np.append(entry[1:] != entry[:-1], True))
-    lo = entry[ends]
-    hi = np.append(lo[1:] - 1, k)
+    ends, lo = batch.grid_blocks(k)
+    w_sorted = _signed_power(batch.sorted_scores(), cfg.q, cfg.a)
     crit = np.cumsum(w_sorted)[ends]
-    tol = (4.0 * m * _U) * np.cumsum(np.abs(w_sorted))[ends]
+    tol = (4.0 * w_sorted.size * _U) * np.cumsum(np.abs(w_sorted))[ends]
+    w = None  # original-order terms, formed only for the exact fallback
     for b in np.flatnonzero(crit <= tol)[::-1]:
-        if crit[b] < -tol[b] or _masked_sum(s, w, grid[lo[b]]) < 0.0:
-            l = int(hi[b])
-            return ThresholdResult(l / k, l, True)
+        if crit[b] >= -tol[b]:
+            if w is None:
+                w = _signed_power(batch.scores, cfg.q, cfg.a)
+            if _masked_sum(batch.scores, w, lo[b] / k) >= 0.0:
+                continue
+        l = int(lo[b + 1]) - 1 if b + 1 < lo.size else k
+        return ThresholdResult(l / k, l, True)
     return _INFEASIBLE
 
 
@@ -272,6 +313,9 @@ def mc_fdr_inverse(
         raise ValueError("rates must lie in [0, 1]")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
+    for name, value in (("k", k), ("draws", draws), ("chunk", chunk)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
     s = 1.0 - r
     grid = np.arange(k + 1, dtype=float) / k
     sel = s[:, None] <= grid[None, :]  # (m, k+1)

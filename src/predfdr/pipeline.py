@@ -19,7 +19,7 @@ import numpy as np
 from . import decision
 from .bfdr import BfdrConfig, ScoreBatch, gbfdr
 from .decision import orient, threshold_flags
-from .predictive import NigParams, _window_scores
+from .predictive import NigParams, _window_z, _z_scores
 from .simgen import as_truth
 
 __all__ = [
@@ -83,6 +83,11 @@ def _run_chunked(work, lo: int, hi: int, threads: int) -> None:
         list(ex.map(lambda b: work(*b), bounds))
 
 
+# cells standardised per t-CDF call: bounds the CDF's temporaries well below
+# the (series, lag) window a timestep's moments take on a wide panel
+_CDF_CELLS = 2**16
+
+
 def lagged_scores(
     values: np.ndarray,
     prior: NigParams = DIFFUSE_PRIOR,
@@ -94,7 +99,10 @@ def lagged_scores(
 
     Column ti of the result scores original timestep t = lag + ti using the
     posterior predictive fitted on values[:, t-lag:t]; the window never
-    includes the scored observation.
+    includes the scored observation.  Window moments are taken one timestep
+    at a time and their standardised values written into the result; every
+    window has lag observations, so the t-CDF's dof is the same throughout
+    and it runs once per chunk of about 2**16 cells, in place.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2:
@@ -107,8 +115,12 @@ def lagged_scores(
     out = np.empty((m, t_len - lag))
 
     def work(t_lo: int, t_hi: int) -> None:
-        for t in range(t_lo, t_hi):
-            out[:, t - lag] = _window_scores(prior, vals[:, t - lag : t], vals[:, t], two_sided)
+        step = max(1, _CDF_CELLS // m)
+        for c_lo in range(t_lo, t_hi, step):
+            z = out[:, c_lo - lag : min(c_lo + step, t_hi) - lag]
+            for t in range(c_lo, c_lo + z.shape[1]):
+                z[:, t - c_lo], dof = _window_z(prior, vals[:, t - lag : t], vals[:, t])
+            z[...] = _z_scores(z, dof, two_sided)
 
     _run_chunked(work, lag, t_len, threads)
     return out

@@ -80,15 +80,25 @@ def _orient(f, two_sided: bool):
     return abs(2.0 * f - 1.0) if two_sided else f
 
 
-def _window_scores(prior: NigParams, win: np.ndarray, x: np.ndarray, two_sided: bool):
-    """Score each x[...] against the predictive fitted on win[..., :].
+def _window_z(prior: NigParams, win: np.ndarray, x: np.ndarray):
+    """Standardise each x[...] against the predictive fitted on win[..., :];
+    returns (z, dof), with the dof shared by all windows."""
+    mu_n, nu_n, alpha_n, beta_n = _posterior(prior, win)
+    return (x - mu_n) / _scale(nu_n, alpha_n, beta_n), 2.0 * alpha_n
+
+
+def _z_scores(z, dof: float, two_sided: bool):
+    """Scores of standardised values: the t-CDF, oriented.
 
     The t-CDF is looked up on :mod:`predfdr.special` at call time, so a
     replacement installed there (a tracer, a test double) sees every call.
     """
-    mu_n, nu_n, alpha_n, beta_n = _posterior(prior, win)
-    z = (x - mu_n) / _scale(nu_n, alpha_n, beta_n)
-    return _orient(special.student_t_cdf(z, 2.0 * alpha_n), two_sided)
+    return _orient(special.student_t_cdf(z, dof), two_sided)
+
+
+def _window_scores(prior: NigParams, win: np.ndarray, x: np.ndarray, two_sided: bool):
+    """Score each x[...] against the predictive fitted on win[..., :]."""
+    return _z_scores(*_window_z(prior, win, x), two_sided)
 
 
 def nig_update(prior: NigParams, data) -> NigParams:

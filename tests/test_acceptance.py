@@ -37,35 +37,33 @@ def result_tuple(res):
 
 def test_criterion_1_selector_routes_identical():
     """Looped, vectorised and change-point selectors agree exactly on 1000+
-    random batches."""
+    random batches, every level of a batch selected on the one shared batch."""
     rng = np.random.default_rng(SEED)
-    combos = [
-        (m, a, q, k)
-        for m in (10, 1000)
-        for a in (0.0, 0.5, 1.0, 2.0)
-        for q in (0.2, 0.05, 2.0**-10)
-        for k in (100, 1000)
-    ]
+    combos = [(m, a, k) for m in (10, 1000) for a in (0.0, 0.5, 1.0, 2.0) for k in (100, 1000)]
+    qs = (0.2, 0.05, 2.0**-10)
     t0 = time.perf_counter()
+    batches = 0
     checked = 0
     feasible = 0
-    for _ in range(21):
-        for m, a, q, k in combos:
+    for _ in range(63):
+        for m, a, k in combos:
             batch = ScoreBatch(rng.random(m))
-            cfg = BfdrConfig(q=q, a=a, k=k)
-            rl = gbfdr_looped(batch, cfg)
-            rv = gbfdr_vectorized(batch, cfg)
-            rc = gbfdr_changepoint(batch, cfg)
-            assert result_tuple(rl) == result_tuple(rv), (m, a, q, k)
-            assert result_tuple(rl) == result_tuple(rc), (m, a, q, k)
-            checked += 1
-            feasible += rl.feasible
+            batches += 1
+            for q in qs:
+                cfg = BfdrConfig(q=q, a=a, k=k)
+                rl = gbfdr_looped(batch, cfg)
+                rv = gbfdr_vectorized(batch, cfg)
+                rc = gbfdr_changepoint(batch, cfg)
+                assert result_tuple(rl) == result_tuple(rv), (m, a, q, k)
+                assert result_tuple(rl) == result_tuple(rc), (m, a, q, k)
+                checked += 1
+                feasible += rl.feasible
     dt = time.perf_counter() - t0
-    assert checked >= 1000
+    assert batches >= 1000
     assert dt < 120.0
     print(
-        f"criterion 1 PASS: {checked} batches bit-identical across routes "
-        f"({feasible} feasible) in {dt:.1f}s"
+        f"criterion 1 PASS: {checked} selections on {batches} batches bit-identical "
+        f"across routes ({feasible} feasible) in {dt:.1f}s"
     )
 
 

@@ -56,6 +56,33 @@ def test_bfdr_config_validation():
         BfdrConfig(q=0.1, algorithm="magic")
 
 
+@pytest.mark.parametrize("k", [2.5, 10.0, "10", None])
+def test_bfdr_config_rejects_non_integer_k(k):
+    # k = 2.5 would build the grid 0, 0.4, 0.8, 1.2 and return eta = 0.8
+    with pytest.raises(ValueError, match="integer k"):
+        BfdrConfig(q=0.3, k=k)
+
+
+def test_bfdr_config_accepts_numpy_integer_k():
+    cfg = BfdrConfig(q=0.3, k=np.int64(10))
+    assert cfg.k == 10 and type(cfg.k) is int
+    assert as_tuple(gbfdr(ScoreBatch([0.1, 0.3, 0.5, 0.9]), cfg)) == (0.4, 4, True)
+
+
+def test_score_batch_keeps_its_own_read_only_scores():
+    src = np.array([0.1, 0.3, 0.5, 0.9])
+    batch = ScoreBatch(src)
+    cfg = BfdrConfig(q=0.3, a=1.0, k=10)
+    before = as_tuple(gbfdr_changepoint(batch, cfg))
+    src[:] = 0.0
+    assert np.array_equal(batch.scores, [0.1, 0.3, 0.5, 0.9])
+    assert as_tuple(gbfdr_changepoint(batch, cfg)) == before == (0.4, 4, True)
+    with pytest.raises(ValueError):
+        batch.scores[0] = 0.0
+    with pytest.raises(ValueError):
+        batch.sorted_scores()[0] = 0.0
+
+
 # ------------------------------------------------------------- frozen cases
 
 
@@ -168,6 +195,38 @@ def test_all_routes_identical_on_adversarial_batches(case):
     assert as_tuple(gbfdr_changepoint(batch, cfg)) == want
 
 
+@st.composite
+def shared_batch_levels(draw):
+    """Scores with ties and on two grids, several (q, a) levels including q
+    at a score and a = 0, and the grid sizes k1, k2, k1 to select in turn."""
+    grid_size = st.sampled_from([1, 2, 3, 10, 100, 1000]) | st.integers(1, 2000)
+    k1, k2 = draw(grid_size), draw(grid_size)
+    on_grid = st.sampled_from([k1, k2]).flatmap(lambda k: st.integers(0, k).map(lambda l: l / k))
+    pool = draw(st.lists(on_grid | st.floats(0.0, 1.0), min_size=1, max_size=6))
+    scores = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    q = st.sampled_from([0.5, 0.25, 0.1, 2.0**-10]) | st.floats(1e-6, 1.0 - 1e-6)
+    inside = [v for v in pool if 0.0 < v < 1.0]
+    if inside:
+        q = q | st.sampled_from(inside)
+    a = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 4.0)
+    levels = draw(st.lists(st.tuples(q, a), min_size=1, max_size=4))
+    return scores, levels, (k1, k2, k1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shared_batch_levels())
+def test_shared_batch_selects_as_fresh_batches(case):
+    # one batch serves every level and grid size in turn, so each selection
+    # reads the sort and blocks an earlier call left in the batch
+    scores, levels, ks = case
+    shared = ScoreBatch(scores)
+    for k in ks:
+        for q, a in levels:
+            cfg = BfdrConfig(q=q, a=a, k=k)
+            want = as_tuple(gbfdr_looped(ScoreBatch(scores), cfg))
+            assert as_tuple(gbfdr_changepoint(shared, cfg)) == want, (k, q, a)
+
+
 def test_changepoint_exact_fallback_decides_cancelling_batch(monkeypatch):
     # s = q +- d cancels: the sorted prefix sum of all 16 terms is -5.6e-17
     # while the looped scan's masked sum is +2.8e-17, so only the exact
@@ -182,6 +241,22 @@ def test_changepoint_exact_fallback_decides_cancelling_batch(monkeypatch):
     res = gbfdr_changepoint(batch, cfg)
     assert calls
     assert as_tuple(res) == as_tuple(gbfdr_looped(batch, cfg)) == (0.32, 32, True)
+
+
+def test_changepoint_exact_fallback_sums_in_original_order(monkeypatch):
+    # below 0.95 the four scores q +- .15, q +- .19 cancel: their sorted
+    # prefix sum is 0.0, while the looped scan's masked sum over the batch in
+    # its own order is -2.8e-17, so eta = 0.94 is feasible only when the
+    # fallback masks the original-order scores and terms, not sorted ones
+    q = 0.2
+    batch = ScoreBatch(np.concatenate([[0.95], q + np.array([15, -15, -19, 19]) / 100]))
+    cfg = BfdrConfig(q=q, a=1.0, k=100)
+    calls = []
+    exact = bfdr._masked_sum
+    monkeypatch.setattr(bfdr, "_masked_sum", lambda *args: calls.append(args) or exact(*args))
+    res = gbfdr_changepoint(batch, cfg)
+    assert len(calls) == 1
+    assert as_tuple(res) == as_tuple(gbfdr_looped(batch, cfg)) == (0.94, 94, True)
 
 
 def test_dispatch_honours_algorithm():
@@ -252,6 +327,17 @@ def test_mc_fdr_validation():
         mc_fdr_inverse([0.5, 1.4], 0.2, 10, 10)
     with pytest.raises(ValueError):
         mc_fdr_inverse([0.5], 1.2, 10, 10)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"k": 0}, "k"), ({"k": -3}, "k"), ({"draws": 0}, "draws"), ({"chunk": 0}, "chunk")],
+)
+def test_mc_fdr_rejects_counts_below_one(kwargs, name):
+    # k = 0 used to divide by zero into a NaN mean; chunk = 0 failed in range()
+    args = {"rates": [0.2, 0.7], "q": 0.2, "draws": 10, "k": 10, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+        mc_fdr_inverse(**args)
 
 
 # ----------------------------------------------------- derivative identity

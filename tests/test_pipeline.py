@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from predfdr import pipeline, special
 from predfdr.bfdr import BfdrConfig, ScoreBatch, gbfdr
 from predfdr.decision import ORIENTATIONS, bfdr_coupled_rule
 from predfdr.pipeline import (
@@ -20,7 +21,7 @@ from predfdr.pipeline import (
     write_report,
     write_scores_csv,
 )
-from predfdr.predictive import NigParams, nig_update, posterior_predictive, score
+from predfdr.predictive import NigParams, _window_scores, nig_update, posterior_predictive, score
 from predfdr.simgen import SimSpec, gen_data
 
 
@@ -47,6 +48,29 @@ def test_lagged_scores_match_composed_route(panel):
                 pred = posterior_predictive(post)
                 expect[j, ti] = score(pred, panel.values[j, t], two_sided=two_sided)
         assert np.array_equal(scores, expect), (lag, two_sided)
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_lagged_scores_chunks_match_per_column_scores(panel, monkeypatch, two_sided):
+    # 36 cells make 3-column chunks; with 2 threads each thread owns 26 of the
+    # 52 columns, so chunk edges fall inside a thread's range and each thread
+    # ends on a 2-column chunk
+    lag = 8
+    cells = []
+    cdf = special.student_t_cdf
+    monkeypatch.setattr(pipeline, "_CDF_CELLS", 36)
+    monkeypatch.setattr(
+        special, "student_t_cdf", lambda z, *a: cells.append(np.size(z)) or cdf(z, *a)
+    )
+    scores = lagged_scores(panel.values, DIFFUSE_PRIOR, lag, two_sided=two_sided, threads=2)
+    assert sorted(cells) == [24, 24] + [36] * 16
+    monkeypatch.setattr(special, "student_t_cdf", cdf)
+    expect = np.empty_like(scores)
+    for t in range(lag, 60):
+        expect[:, t - lag] = _window_scores(
+            DIFFUSE_PRIOR, panel.values[:, t - lag : t], panel.values[:, t], two_sided
+        )
+    assert np.array_equal(scores, expect)
 
 
 def test_lagged_scores_window_excludes_current():

@@ -1,5 +1,6 @@
 """Accuracy and invariance tests for the incomplete beta and Student-t CDF."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,20 @@ def test_t_cdf_nan_in_nan_out(monkeypatch):
         assert np.isnan(got[nan]).all()
         assert np.isfinite(got[~nan]).all()
     assert math.isnan(student_t_cdf(math.nan, 7.0))
+
+
+def test_t_cdf_working_set_is_bounded():
+    # the scorer calls the CDF on chunks of 2**16 cells, so its temporaries
+    # count against peak memory; the allocating form peaked near 16 doubles
+    # per cell
+    x = np.random.default_rng(4).standard_t(30.0, size=2**16) * 1.2
+    tracemalloc.start()
+    try:
+        student_t_cdf(x, 30.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 8 * x.size
 
 
 def test_t_cdf_parameter_errors():
