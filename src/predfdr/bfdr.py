@@ -68,8 +68,8 @@ class ScoreBatch:
     """Batch of per-item scores in [0, 1].
 
     The batch holds a read-only copy of the scores, so what it derives from
-    them stays valid: the stable-sorted scores, computed on first use, and
-    the grid blocks of the last grid size asked for.
+    them stays valid: the sorted scores, computed on first use, and the grid
+    blocks of the last grid size asked for.
     """
 
     __slots__ = ("scores", "_sorted", "_blocks")
@@ -88,9 +88,15 @@ class ScoreBatch:
         self._blocks = None
 
     def sorted_scores(self) -> np.ndarray:
-        """The scores in stable ascending order."""
+        """The scores in ascending order.
+
+        numpy's default (SIMD) sort, which is not stable: equal scores are
+        equal values, so only a zero may differ, coming back as -0.0 or 0.0
+        whatever its sign in the batch.  Every use of the sorted scores
+        (s - q, its sign, the grid search) treats the two alike.
+        """
         if self._sorted is None:
-            s = self.scores[np.argsort(self.scores, kind="stable")]
+            s = np.sort(self.scores)
             s.flags.writeable = False
             self._sorted = s
         return self._sorted

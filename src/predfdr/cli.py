@@ -133,6 +133,8 @@ def _run_detect(config: dict) -> int:
     )
     # every level's selector settings are checked before any input is read
     cfg.levels(qs)
+    if config["threads"] < 1:
+        raise ValueError(f"--threads must be >= 1, got {config['threads']}")
     values = load_matrix_csv(config["data"])
     truth = None
     if config["truth"]:

@@ -74,7 +74,9 @@ class DetectConfig:
 def _run_chunked(work, lo: int, hi: int, threads: int) -> None:
     """Call work(a, b) on contiguous chunks covering [lo, hi), one chunk per
     thread; every chunk writes disjoint output columns."""
-    if threads <= 1:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
+    if threads == 1:
         work(lo, hi)
         return
     chunk = max(1, (hi - lo + threads - 1) // threads)
@@ -83,8 +85,8 @@ def _run_chunked(work, lo: int, hi: int, threads: int) -> None:
         list(ex.map(lambda b: work(*b), bounds))
 
 
-# cells standardised per t-CDF call: bounds the CDF's temporaries well below
-# the (series, lag) window a timestep's moments take on a wide panel
+# cells standardised per t-CDF call, and window cells per moment block: bounds
+# the CDF's and the moments' temporaries to a cache-sized working set
 _CDF_CELLS = 2**16
 
 
@@ -99,10 +101,13 @@ def lagged_scores(
 
     Column ti of the result scores original timestep t = lag + ti using the
     posterior predictive fitted on values[:, t-lag:t]; the window never
-    includes the scored observation.  Window moments are taken one timestep
-    at a time and their standardised values written into the result; every
-    window has lag observations, so the t-CDF's dof is the same throughout
-    and it runs once per chunk of about 2**16 cells, in place.
+    includes the scored observation.  The result is filled in column chunks
+    of about 2**16 cells.  Within a chunk, window moments are taken one
+    timestep at a time over blocks of about 2**16 / lag series, so a block's
+    windows stay in cache across the chunk's timesteps; each series is still
+    reduced on its own, so blocking does not change a digit.  Every window
+    has lag observations, so the t-CDF's dof is the same throughout and it
+    runs once per chunk, in place.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2:
@@ -116,10 +121,15 @@ def lagged_scores(
 
     def work(t_lo: int, t_hi: int) -> None:
         step = max(1, _CDF_CELLS // m)
+        rows = max(1, _CDF_CELLS // lag)
         for c_lo in range(t_lo, t_hi, step):
             z = out[:, c_lo - lag : min(c_lo + step, t_hi) - lag]
-            for t in range(c_lo, c_lo + z.shape[1]):
-                z[:, t - c_lo], dof = _window_z(prior, vals[:, t - lag : t], vals[:, t])
+            for r0 in range(0, m, rows):
+                block = vals[r0 : r0 + rows]
+                for t in range(c_lo, c_lo + z.shape[1]):
+                    z[r0 : r0 + rows, t - c_lo], dof = _window_z(
+                        prior, block[:, t - lag : t], block[:, t]
+                    )
             z[...] = _z_scores(z, dof, two_sided)
 
     _run_chunked(work, lag, t_len, threads)

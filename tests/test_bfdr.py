@@ -195,14 +195,44 @@ def test_all_routes_identical_on_adversarial_batches(case):
     assert as_tuple(gbfdr_changepoint(batch, cfg)) == want
 
 
+def assert_sorted_permutation(sorted_scores, scores):
+    # ascending and the same multiset of values; a zero may come back with
+    # either sign (the SIMD sort's min and max of -0.0 and 0.0 return one
+    # operand for both), which compares equal, and every other score keeps
+    # its bits
+    assert np.all(sorted_scores[1:] >= sorted_scores[:-1])
+    want = np.array(sorted(scores), dtype=float)
+    assert np.array_equal(sorted_scores, want)
+    nonzero = want != 0.0
+    assert sorted_scores[nonzero].tobytes() == want[nonzero].tobytes()
+
+
+def test_signed_zeros_and_ties_select_as_looped():
+    # the sort may hand back a zero with either sign; the selector must not
+    # tell -0.0 from 0.0, nor mishandle repeated scores and those equal to q
+    q = 0.25
+    rng = np.random.default_rng(3)
+    pool = np.array([0.0, -0.0, q, q, 0.125, 0.5, 0.75, 1.0])
+    for size in (1, 2, 5, 17, 64, 300):
+        scores = rng.choice(pool, size)
+        batch = ScoreBatch(scores)
+        assert_sorted_permutation(batch.sorted_scores(), scores)
+        for k in (1, 4, 8, 100, 1000):
+            for a in (0.0, 0.5, 1.0, 2.0):
+                cfg = BfdrConfig(q=q, a=a, k=k)
+                want = as_tuple(gbfdr_looped(ScoreBatch(scores), cfg))
+                assert as_tuple(gbfdr_changepoint(batch, cfg)) == want, (size, k, a)
+
+
 @st.composite
 def shared_batch_levels(draw):
-    """Scores with ties and on two grids, several (q, a) levels including q
-    at a score and a = 0, and the grid sizes k1, k2, k1 to select in turn."""
+    """Scores with ties, signed zeros and scores on two grids, several (q, a)
+    levels including q at a score and a = 0, and the grid sizes k1, k2, k1 to
+    select in turn."""
     grid_size = st.sampled_from([1, 2, 3, 10, 100, 1000]) | st.integers(1, 2000)
     k1, k2 = draw(grid_size), draw(grid_size)
     on_grid = st.sampled_from([k1, k2]).flatmap(lambda k: st.integers(0, k).map(lambda l: l / k))
-    pool = draw(st.lists(on_grid | st.floats(0.0, 1.0), min_size=1, max_size=6))
+    pool = draw(st.lists(on_grid | st.floats(0.0, 1.0) | st.just(-0.0), min_size=1, max_size=6))
     scores = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
     q = st.sampled_from([0.5, 0.25, 0.1, 2.0**-10]) | st.floats(1e-6, 1.0 - 1e-6)
     inside = [v for v in pool if 0.0 < v < 1.0]
@@ -220,6 +250,7 @@ def test_shared_batch_selects_as_fresh_batches(case):
     # reads the sort and blocks an earlier call left in the batch
     scores, levels, ks = case
     shared = ScoreBatch(scores)
+    assert_sorted_permutation(shared.sorted_scores(), scores)
     for k in ks:
         for q, a in levels:
             cfg = BfdrConfig(q=q, a=a, k=k)

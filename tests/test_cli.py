@@ -223,6 +223,8 @@ def test_detect_mismatched_truth_shape(tmp_path):
         ),
         pytest.param("--c1", "nan", "c1 must be >= 0, not nan", id="c1=nan"),
         pytest.param("--c1", "-1", "c1 must be >= 0, not -1.0", id="c1=-1"),
+        pytest.param("--threads", "0", "--threads must be >= 1, got 0", id="threads=0"),
+        pytest.param("--threads", "-1", "--threads must be >= 1, got -1", id="threads=-1"),
     ],
 )
 def test_detect_bad_level_grid_fails_before_scoring(

@@ -73,6 +73,47 @@ def test_lagged_scores_chunks_match_per_column_scores(panel, monkeypatch, two_si
     assert np.array_equal(scores, expect)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_lagged_scores_row_blocks_cover_every_series_once(monkeypatch, two_sided, threads):
+    # 36 cells and lag 8 make moment blocks of 4 series, so 13 series end on
+    # a partial block of 1; 36 // 13 makes 2-column chunks
+    lag = 8
+    vals = np.ascontiguousarray(
+        gen_data(SimSpec(m=13, t_len=40, lag=lag, outlier_rate=0.1, seed=9)).values
+    )
+    start = vals.__array_interface__["data"][0]
+    blocks = {}
+    window_z = pipeline._window_z
+
+    def spy(prior, win, x):
+        # x is vals[r0:r1, t]: its offset in vals gives the first series and t
+        r0, t = divmod((x.__array_interface__["data"][0] - start) // vals.itemsize, 40)
+        blocks.setdefault(t, []).append((r0, r0 + x.size))
+        return window_z(prior, win, x)
+
+    monkeypatch.setattr(pipeline, "_CDF_CELLS", 36)
+    monkeypatch.setattr(pipeline, "_window_z", spy)
+    scores = lagged_scores(vals, DIFFUSE_PRIOR, lag, two_sided=two_sided, threads=threads)
+    assert sorted(blocks) == list(range(lag, 40))
+    assert all(sorted(b) == [(0, 4), (4, 8), (8, 12), (12, 13)] for b in blocks.values())
+    expect = np.empty_like(scores)
+    for t in range(lag, 40):
+        expect[:, t - lag] = _window_scores(
+            DIFFUSE_PRIOR, vals[:, t - lag : t], vals[:, t], two_sided
+        )
+    assert scores.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_chunked_runs_reject_threads_below_one(panel, threads):
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        lagged_scores(panel.values, DIFFUSE_PRIOR, 8, threads=threads)
+    cfg = DetectConfig(bfdr=BfdrConfig(q=0.1))
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        detect(np.full((3, 4), 0.5), None, cfg, threads=threads)
+
+
 def test_lagged_scores_window_excludes_current():
     # a huge spike at t must not contaminate its own window
     vals = np.zeros((1, 20))
