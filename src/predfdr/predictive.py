@@ -50,8 +50,8 @@ class StudentTPredictive:
     scale: float
 
     def __post_init__(self) -> None:
-        if self.dof <= 0.0:
-            raise ValueError("StudentTPredictive requires dof > 0")
+        if not 0.0 < self.dof < math.inf:  # also rejects NaN
+            raise ValueError("StudentTPredictive requires finite dof > 0")
         if self.scale <= 0.0 or not math.isfinite(self.scale):
             raise ValueError("StudentTPredictive requires finite scale > 0")
 

@@ -117,6 +117,9 @@ def test_student_t_predictive_validation():
         StudentTPredictive(0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         StudentTPredictive(2.0, 0.0, 0.0)
+    for dof in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite dof"):
+            StudentTPredictive(dof, 0.0, 1.0)
 
 
 def test_predictive_cdf_monte_carlo_oracle():

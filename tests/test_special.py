@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from predfdr import special as kernel
 from predfdr.special import betainc, student_t_cdf
 
 
@@ -67,6 +68,12 @@ def test_betainc_domain_errors():
         betainc(1.0, 1.0, 1.5)
     with pytest.raises(ValueError):
         betainc(1.0, 1.0, -0.1)
+    # non-finite shapes are named, not run to a failed convergence or a warning
+    for a, b, name in [
+        (math.nan, 1.0, "a"), (math.inf, 1.0, "a"), (1.0, math.nan, "b"), (1.0, math.inf, "b"),
+    ]:
+        with pytest.raises(ValueError, match=f"finite {name} > 0"):
+            betainc(a, b, 0.5)
 
 
 def test_betainc_rejects_nan():
@@ -74,6 +81,75 @@ def test_betainc_rejects_nan():
         betainc(2.0, 3.0, math.nan)
     with pytest.raises(ValueError):
         betainc(2.0, 3.0, np.array([0.2, np.nan, 0.7]))
+
+
+def _lentz_lane(a, b, x):
+    """The modified Lentz recurrence for one lane in Python floats, each
+    operation in the kernel's order; returns (value, floored), where floored
+    says whether the first denominator was raised to the floor."""
+    fpmin, eps = 1e-300, 1e-15
+
+    def floor(v):
+        return fpmin if abs(v) < fpmin else v
+
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    floored = abs(d) < fpmin
+    d = 1.0 / floor(d)
+    h = d
+    for it in range(1, 501):
+        m2 = 2 * it
+        aa = it * (b - it) * x / ((qam + m2) * (a + m2))
+        d = floor(aa * d + 1.0)
+        c = floor(aa / c + 1.0)
+        d = 1.0 / d
+        h = h * d * c
+        aa = -(a + it) * (qab + it) * x / ((a + m2) * (qap + m2))
+        d = floor(aa * d + 1.0)
+        c = floor(aa / c + 1.0)
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        if abs(delta - 1.0) < eps:
+            return h, floored
+    raise AssertionError("oracle did not converge")
+
+
+def _assert_kernel_matches_oracle(a, b, x):
+    x = np.asarray(x, dtype=float)
+    got = kernel._beta_cont_frac(a, b, x)
+    want = np.array([_lentz_lane(a, b, float(v))[0] for v in x.ravel()]).reshape(x.shape)
+    assert got.shape == x.shape
+    # bit for bit, so a reordered operation anywhere in the kernel shows
+    assert got.tobytes() == want.tobytes(), (a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # both orientations at the t-CDF shapes the benchmarks score
+        (0.5, 15.01), (15.01, 0.5), (0.5, 60.01), (60.01, 0.5),
+        (1.0, 3.0), (2.5, 0.5), (0.05, 7.3), (40.0, 40.0), (1e-3, 1e-3),
+    ],
+)
+def test_beta_cont_frac_matches_lane_oracle(a, b):
+    rng = np.random.default_rng(int(a * 1000 + b))
+    bound = (a + 1.0) / (a + b + 2.0)
+    edges = [0.0, 5e-324, 1e-300, 1e-12, bound * 0.5, np.nextafter(bound, 0.0)]
+    x = np.concatenate([edges, rng.uniform(0.0, bound, size=1000)])
+    _assert_kernel_matches_oracle(a, b, x)
+    _assert_kernel_matches_oracle(a, b, x[3:4])  # one lane
+    panel = rng.uniform(0.0, bound, size=(24, 18))
+    _assert_kernel_matches_oracle(a, b, panel[::3, 1::2])  # 2-d strided view
+
+
+def test_beta_cont_frac_floors_a_zero_first_denominator():
+    # a=1, b=3: 1 - (a+b) x / (a+1) is exactly 0 at x = 1/2
+    x = np.array([0.1, 0.5, 0.3])
+    assert [_lentz_lane(1.0, 3.0, v)[1] for v in x] == [False, True, False]
+    _assert_kernel_matches_oracle(1.0, 3.0, x)
+    assert np.isfinite(kernel._beta_cont_frac(1.0, 3.0, x)).all()
 
 
 def test_t_cdf_cauchy_quartiles():
@@ -203,3 +279,14 @@ def test_t_cdf_parameter_errors():
         student_t_cdf(0.0, 0.0)
     with pytest.raises(ValueError):
         student_t_cdf(0.0, 2.0, scale=0.0)
+    # an infinite dof would give 0.5 at x=1, not the normal limit 0.841, and
+    # a NaN parameter would give NaN; both are named instead
+    for kwargs, name in [
+        ({"dof": math.inf}, "dof"), ({"dof": math.nan}, "dof"),
+        ({"dof": 2.0, "loc": math.nan}, "loc"), ({"dof": 2.0, "loc": -math.inf}, "loc"),
+        ({"dof": 2.0, "scale": math.nan}, "scale"), ({"dof": 2.0, "scale": math.inf}, "scale"),
+    ]:
+        with pytest.raises(ValueError, match=f"finite {name}"):
+            student_t_cdf(1.0, **kwargs)
+        with pytest.raises(ValueError, match=f"finite {name}"):
+            student_t_cdf(np.array([-1.0, 1.0]), **kwargs)
