@@ -18,7 +18,8 @@ from .bench import BenchSpec, reference_spec, run_bench, write_bench_csv
 from .decision import ORIENTATIONS
 from .pipeline import DetectConfig, detect, lagged_scores, write_report, write_scores_csv
 from .predictive import NigParams
-from .simgen import SimSpec, as_truth, gen_data, json_type_error, load_matrix_csv, save_sim
+from .simgen import SimSpec, as_finite, as_truth, gen_data, json_type_error, load_matrix_csv
+from .simgen import save_sim
 from .validation import run_checks
 
 OUT_ENV = "PREDFDR_OUT"
@@ -133,9 +134,7 @@ def _run_detect(config: dict) -> int:
     )
     # every level's selector settings are checked before any input is read
     cfg.levels(qs)
-    if config["threads"] < 1:
-        raise ValueError(f"--threads must be >= 1, got {config['threads']}")
-    values = load_matrix_csv(config["data"])
+    values = as_finite(load_matrix_csv(config["data"]), config["data"])
     truth = None
     if config["truth"]:
         truth = load_matrix_csv(config["truth"])
@@ -144,13 +143,9 @@ def _run_detect(config: dict) -> int:
         truth = as_truth(truth, config["truth"])
     else:
         print("no truth supplied; metrics.csv and diff.csv will be skipped", file=sys.stderr)
-    scores = lagged_scores(
-        values, prior, lag, two_sided=config["two_sided"], threads=config["threads"]
-    )
+    scores = lagged_scores(values, prior, lag, two_sided=config["two_sided"])
     truth_aligned = truth[:, lag:] if truth is not None else None
-    report = detect(
-        scores, truth_aligned, cfg, q_values=qs, threads=config["threads"], t_offset=lag
-    )
+    report = detect(scores, truth_aligned, cfg, q_values=qs, t_offset=lag)
     out.mkdir(parents=True, exist_ok=True)
     write_scores_csv(scores, out / "scores.csv", t_offset=lag)
     paths = write_report(report, out)
@@ -194,13 +189,6 @@ def _run_validate(config: dict) -> int:
     return 2 if failed else 0
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; every host CPU where affinity is unknown."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="predfdr", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -237,7 +225,6 @@ def build_parser() -> _Parser:
     p.add_argument("--baseline-etas", default="match", help="'match' or a grid spec")
     p.add_argument("--orientation", choices=ORIENTATIONS, default="null_score")
     p.add_argument("--two-sided", action="store_true")
-    p.add_argument("--threads", type=int, default=_usable_cpus())
 
     p = sub.add_parser("bench", help="time the two selector implementations", parents=[outputs])
     p.add_argument("--replications", type=int, default=100)
@@ -281,9 +268,9 @@ def _config_from_args(args: argparse.Namespace) -> dict:
     }
 
 
-# keys of options since removed, which replay ignores: every selector route
-# gave the same thresholds
-_RETIRED_KEYS = {"detect": {"algorithm"}}
+# keys of options since removed, which replay ignores: every selector route,
+# and every thread count, gave byte-identical outputs
+_RETIRED_KEYS = {"detect": {"algorithm", "threads"}}
 
 
 def _replayed_config(

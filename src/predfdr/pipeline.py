@@ -8,7 +8,6 @@ counts and classification metrics when truth is available.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -71,20 +70,6 @@ class DetectConfig:
         return [replace(self.bfdr, q=float(q)) for q in qs]
 
 
-def _run_chunked(work, lo: int, hi: int, threads: int) -> None:
-    """Call work(a, b) on contiguous chunks covering [lo, hi), one chunk per
-    thread; every chunk writes disjoint output columns."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
-    if threads == 1:
-        work(lo, hi)
-        return
-    chunk = max(1, (hi - lo + threads - 1) // threads)
-    bounds = [(a, min(a + chunk, hi)) for a in range(lo, hi, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        list(ex.map(lambda b: work(*b), bounds))
-
-
 # cells standardised per t-CDF call, and window cells per moment block: bounds
 # the CDF's and the moments' temporaries to a cache-sized working set
 _CDF_CELLS = 2**16
@@ -95,7 +80,6 @@ def lagged_scores(
     prior: NigParams = DIFFUSE_PRIOR,
     lag: int = 30,
     two_sided: bool = False,
-    threads: int = 1,
 ) -> np.ndarray:
     """Score every timestep from lag onward against its trailing window.
 
@@ -118,21 +102,17 @@ def lagged_scores(
     if not 0 < lag < t_len:
         raise ValueError("lag must satisfy 0 < lag < t_len")
     out = np.empty((m, t_len - lag))
-
-    def work(t_lo: int, t_hi: int) -> None:
-        step = max(1, _CDF_CELLS // m)
-        rows = max(1, _CDF_CELLS // lag)
-        for c_lo in range(t_lo, t_hi, step):
-            z = out[:, c_lo - lag : min(c_lo + step, t_hi) - lag]
-            for r0 in range(0, m, rows):
-                block = vals[r0 : r0 + rows]
-                for t in range(c_lo, c_lo + z.shape[1]):
-                    z[r0 : r0 + rows, t - c_lo], dof = _window_z(
-                        prior, block[:, t - lag : t], block[:, t]
-                    )
-            z[...] = _z_scores(z, dof, two_sided)
-
-    _run_chunked(work, lag, t_len, threads)
+    step = max(1, _CDF_CELLS // m)
+    rows = max(1, _CDF_CELLS // lag)
+    for c_lo in range(lag, t_len, step):
+        z = out[:, c_lo - lag : c_lo + step - lag]
+        for r0 in range(0, m, rows):
+            block = vals[r0 : r0 + rows]
+            for t in range(c_lo, c_lo + z.shape[1]):
+                z[r0 : r0 + rows, t - c_lo], dof = _window_z(
+                    prior, block[:, t - lag : t], block[:, t]
+                )
+        z[...] = _z_scores(z, dof, two_sided)
     return out
 
 
@@ -186,13 +166,15 @@ def confusion_metrics(counts: np.ndarray) -> Dict[str, np.ndarray]:
 
 
 def _confusion_cube(flags: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    # flags (L, m, nt), truth (m, nt) -> (L, nt, 4)
-    t = truth[None, :, :]
-    tp = (flags & t).sum(axis=1)
-    fp = (flags & ~t).sum(axis=1)
-    fn = (~flags & t).sum(axis=1)
-    tn = (~flags & ~t).sum(axis=1)
-    return np.stack([tp, fp, fn, tn], axis=-1)
+    # flags (L, m, nt), truth (m, nt) -> (L, nt, 4); tp is counted one level
+    # at a time and the other counts follow from the margins, so no
+    # cube-sized temporary is made
+    flagged = flags.sum(axis=1)
+    tp = np.empty_like(flagged)
+    for level, out in zip(flags, tp):
+        (level & truth).sum(axis=0, out=out)
+    fn = truth.sum(axis=0) - tp
+    return np.stack([tp, flagged - tp, fn, truth.shape[0] - flagged - fn], axis=-1)
 
 
 def detect(
@@ -200,7 +182,6 @@ def detect(
     truth: Optional[np.ndarray],
     cfg: DetectConfig,
     q_values: Optional[Sequence[float]] = None,
-    threads: int = 1,
     t_offset: int = 0,
 ) -> DetectionReport:
     """Threshold every timestep's score batch and evaluate the flags.
@@ -227,14 +208,11 @@ def detect(
     sel_input = orient(r, cfg.orientation)
     eta_s = np.empty((len(levels), nt))
 
-    def work(ti_lo: int, ti_hi: int) -> None:
-        for ti in range(ti_lo, ti_hi):
-            batch = ScoreBatch(sel_input[:, ti])
-            for qi, level in enumerate(levels):
-                # an infeasible level's eta is None, which stores as NaN
-                eta_s[qi, ti] = gbfdr(batch, level).eta
-
-    _run_chunked(work, 0, nt, threads)
+    for ti in range(nt):
+        batch = ScoreBatch(sel_input[:, ti])
+        for qi, level in enumerate(levels):
+            # an infeasible level's eta is None, which stores as NaN
+            eta_s[qi, ti] = gbfdr(batch, level).eta
 
     flags_bfdr = threshold_flags(r, eta_s[:, None, :], cfg.c1, cfg.orientation)
     flags_fixed = threshold_flags(r, np.array(etas)[:, None, None], cfg.c1, cfg.orientation)

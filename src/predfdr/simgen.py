@@ -207,14 +207,25 @@ def _first_bad_cell(body: list, width: int) -> Optional[str]:
     return None
 
 
-def as_truth(mat: np.ndarray, path) -> np.ndarray:
-    """Truth matrix as booleans; every cell must be 0 or 1."""
-    bad = (mat != 0.0) & (mat != 1.0)
+def _reject_cell(mat: np.ndarray, bad: np.ndarray, path, why: str) -> None:
+    """Name the first cell where ``bad`` holds, numbered as load_matrix_csv
+    numbers cells."""
     if bad.any():
         r, c = np.argwhere(bad)[0]
         cell = float(mat[r, c])
-        raise ValueError(f"{path}: row {r + 1}, column {c + 1}: {cell!r} is not 0 or 1")
+        raise ValueError(f"{path}: row {r + 1}, column {c + 1}: {cell!r} {why}")
+
+
+def as_truth(mat: np.ndarray, path) -> np.ndarray:
+    """Truth matrix as booleans; every cell must be 0 or 1."""
+    _reject_cell(mat, (mat != 0.0) & (mat != 1.0), path, "is not 0 or 1")
     return mat.astype(bool)
+
+
+def as_finite(mat: np.ndarray, path) -> np.ndarray:
+    """The matrix itself; every cell must be finite."""
+    _reject_cell(mat, ~np.isfinite(mat), path, "is not finite")
+    return mat
 
 
 # accepted JSON types, by the type of a setting's default, and their name

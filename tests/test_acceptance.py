@@ -164,12 +164,10 @@ def test_criterion_6_simulation_study():
     counts = data.truth.sum(axis=0)[spec.lag :]
     cov = float(np.mean((counts >= 15) & (counts <= 35)))
 
-    scores = lagged_scores(data.values, DIFFUSE_PRIOR, spec.lag, threads=4)
+    scores = lagged_scores(data.values, DIFFUSE_PRIOR, spec.lag)
     qs = [2.0**-v for v in range(1, 16)]
     cfg = DetectConfig(bfdr=BfdrConfig(q=qs[0], a=2.0, k=1000))
-    rep = detect(
-        scores, data.truth[:, spec.lag :], cfg, q_values=qs, threads=4, t_offset=spec.lag
-    )
+    rep = detect(scores, data.truth[:, spec.lag :], cfg, q_values=qs, t_offset=spec.lag)
     dt = time.perf_counter() - t0
 
     # (a) the generator hits its nominal contamination band
@@ -320,7 +318,7 @@ def test_criterion_9_null_panel_fdp_control():
     )
     data = gen_data(spec)
     vals = data.values
-    scores = lagged_scores(vals, DIFFUSE_PRIOR, spec.lag, threads=4)
+    scores = lagged_scores(vals, DIFFUSE_PRIOR, spec.lag)
     q = 0.1
     cfg = BfdrConfig(q=q, a=1.0, k=1000)
     fdps = []

@@ -1,12 +1,11 @@
 """Command line surface: grid parsing, subcommand runs, manifests, exit codes."""
 import json
-import os
 import re
 
 import numpy as np
 import pytest
 
-from predfdr.cli import build_parser, main, parse_level_grid
+from predfdr.cli import main, parse_level_grid
 
 
 def run_simulate(out, extra=()):
@@ -117,8 +116,6 @@ def detect_argv(data_dir, out, extra=()):
         "2^-1..2^-4",
         "--k",
         "100",
-        "--threads",
-        "2",
     ]
     argv.extend(extra)
     return argv
@@ -165,9 +162,11 @@ def test_detect_replay_from_manifest_is_byte_identical(tmp_path):
     assert main(detect_argv(sim, out1)) == 0
     manifest = json.loads((out1 / "manifest.json").read_text())
     replay = tmp_path / "replay.json"
-    # manifests written while detect had --algorithm carry that key; every
-    # route gave the same thresholds, so replay ignores it
-    for i, extra in enumerate(({}, {"algorithm": "vectorized"})):
+    # manifests written while detect had --algorithm or --threads carry
+    # those keys; every route and thread count gave the same outputs, so
+    # replay ignores them
+    old = ({"algorithm": "vectorized"}, {"threads": 2}, {"algorithm": "looped", "threads": 1})
+    for i, extra in enumerate(({}, *old)):
         out2 = tmp_path / f"d{i + 2}"
         manifest["config"].update(extra, out=str(out2))
         replay.write_text(json.dumps(manifest))
@@ -223,8 +222,6 @@ def test_detect_mismatched_truth_shape(tmp_path):
         ),
         pytest.param("--c1", "nan", "c1 must be >= 0, not nan", id="c1=nan"),
         pytest.param("--c1", "-1", "c1 must be >= 0, not -1.0", id="c1=-1"),
-        pytest.param("--threads", "0", "--threads must be >= 1, got 0", id="threads=0"),
-        pytest.param("--threads", "-1", "--threads must be >= 1, got -1", id="threads=-1"),
     ],
 )
 def test_detect_bad_level_grid_fails_before_scoring(
@@ -267,13 +264,34 @@ def test_detect_rejects_non_binary_truth(tmp_path, capsys, cell):
     assert "row 3, column 6" in err and "not 0 or 1" in err
 
 
-def test_detect_threads_default_follows_affinity(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert build_parser().parse_args(["detect"]).threads == 1
-    # where affinity is unknown, every host CPU counts
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert build_parser().parse_args(["detect"]).threads == 8
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_detect_names_non_finite_data_cell(tmp_path, capsys, monkeypatch, cell):
+    sim = tmp_path / "sim"
+    assert run_simulate(sim) == 0
+    lines = (sim / "data.csv").read_text().splitlines()
+    row = lines[4].split(",")
+    row[17] = cell
+    lines[4] = ",".join(row)
+    (sim / "data.csv").write_text("\n".join(lines) + "\n")
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored a panel with a non-finite cell")
+
+    monkeypatch.setattr("predfdr.cli.lagged_scores", no_scoring)
+    assert main(detect_argv(sim, tmp_path / "det")) == 1
+    err = capsys.readouterr().err
+    assert f"error: {sim / 'data.csv'}: row 4, column 18: {cell} is not finite" in err
+    assert not (tmp_path / "det").exists()
+
+
+def test_detect_threads_is_usage_error(tmp_path, capsys):
+    # the pipeline runs on one thread; the option is gone, not ignored
+    sim = tmp_path / "sim"
+    assert run_simulate(sim) == 0
+    assert main(detect_argv(sim, tmp_path / "det", ["--threads", "2"])) == 1
+    err = capsys.readouterr().err
+    assert "predfdr: error: " in err and "--threads 2" in err
+    assert not (tmp_path / "det").exists()
 
 
 # ---------------------------------------------------------------- manifests
@@ -296,7 +314,7 @@ def test_manifest_config_frozen(tmp_path):
         "out m t_len lag rate seed mean_params sd_inlier sd_outlier recenter"
     )
     assert " ".join(config["det"]) == (
-        "out data truth lag prior q_values a k c1 baseline_etas orientation two_sided threads"
+        "out data truth lag prior q_values a k c1 baseline_etas orientation two_sided"
     )
     assert " ".join(config["bench"]) == "out replications m a q k_values seed paper"
     assert config["sim"]["mean_params"] == [1.0, 2.0, 3.0]

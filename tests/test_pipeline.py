@@ -52,9 +52,8 @@ def test_lagged_scores_match_composed_route(panel):
 
 @pytest.mark.parametrize("two_sided", [False, True])
 def test_lagged_scores_chunks_match_per_column_scores(panel, monkeypatch, two_sided):
-    # 36 cells make 3-column chunks; with 2 threads each thread owns 26 of the
-    # 52 columns, so chunk edges fall inside a thread's range and each thread
-    # ends on a 2-column chunk
+    # 36 cells make 3-column chunks over 12 series, so the 52 columns end on
+    # a 1-column chunk
     lag = 8
     cells = []
     cdf = special.student_t_cdf
@@ -62,8 +61,8 @@ def test_lagged_scores_chunks_match_per_column_scores(panel, monkeypatch, two_si
     monkeypatch.setattr(
         special, "student_t_cdf", lambda z, *a: cells.append(np.size(z)) or cdf(z, *a)
     )
-    scores = lagged_scores(panel.values, DIFFUSE_PRIOR, lag, two_sided=two_sided, threads=2)
-    assert sorted(cells) == [24, 24] + [36] * 16
+    scores = lagged_scores(panel.values, DIFFUSE_PRIOR, lag, two_sided=two_sided)
+    assert cells == [36] * 17 + [12]
     monkeypatch.setattr(special, "student_t_cdf", cdf)
     expect = np.empty_like(scores)
     for t in range(lag, 60):
@@ -73,14 +72,16 @@ def test_lagged_scores_chunks_match_per_column_scores(panel, monkeypatch, two_si
     assert np.array_equal(scores, expect)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("tail", [1, 2])
 @pytest.mark.parametrize("two_sided", [False, True])
-def test_lagged_scores_row_blocks_cover_every_series_once(monkeypatch, two_sided, threads):
-    # 36 cells and lag 8 make moment blocks of 4 series, so 13 series end on
-    # a partial block of 1; 36 // 13 makes 2-column chunks
+def test_lagged_scores_row_blocks_cover_every_series_once(monkeypatch, two_sided, tail):
+    # 36 cells and lag 8 make moment blocks of 4 series, so 12 + tail series
+    # end on a partial block of tail; 36 // 13 and 36 // 14 make 2-column
+    # chunks
     lag = 8
+    m = 12 + tail
     vals = np.ascontiguousarray(
-        gen_data(SimSpec(m=13, t_len=40, lag=lag, outlier_rate=0.1, seed=9)).values
+        gen_data(SimSpec(m=m, t_len=40, lag=lag, outlier_rate=0.1, seed=9)).values
     )
     start = vals.__array_interface__["data"][0]
     blocks = {}
@@ -94,24 +95,15 @@ def test_lagged_scores_row_blocks_cover_every_series_once(monkeypatch, two_sided
 
     monkeypatch.setattr(pipeline, "_CDF_CELLS", 36)
     monkeypatch.setattr(pipeline, "_window_z", spy)
-    scores = lagged_scores(vals, DIFFUSE_PRIOR, lag, two_sided=two_sided, threads=threads)
+    scores = lagged_scores(vals, DIFFUSE_PRIOR, lag, two_sided=two_sided)
     assert sorted(blocks) == list(range(lag, 40))
-    assert all(sorted(b) == [(0, 4), (4, 8), (8, 12), (12, 13)] for b in blocks.values())
+    assert all(b == [(0, 4), (4, 8), (8, 12), (12, m)] for b in blocks.values())
     expect = np.empty_like(scores)
     for t in range(lag, 40):
         expect[:, t - lag] = _window_scores(
             DIFFUSE_PRIOR, vals[:, t - lag : t], vals[:, t], two_sided
         )
     assert scores.tobytes() == expect.tobytes()
-
-
-@pytest.mark.parametrize("threads", [0, -1])
-def test_chunked_runs_reject_threads_below_one(panel, threads):
-    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
-        lagged_scores(panel.values, DIFFUSE_PRIOR, 8, threads=threads)
-    cfg = DetectConfig(bfdr=BfdrConfig(q=0.1))
-    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
-        detect(np.full((3, 4), 0.5), None, cfg, threads=threads)
 
 
 def test_lagged_scores_window_excludes_current():
@@ -127,14 +119,6 @@ def test_lagged_scores_two_sided(panel):
     one = lagged_scores(panel.values, DIFFUSE_PRIOR, 8, two_sided=False)
     two = lagged_scores(panel.values, DIFFUSE_PRIOR, 8, two_sided=True)
     assert np.allclose(two, np.abs(2.0 * one - 1.0), atol=1e-15)
-
-
-def test_lagged_scores_thread_determinism(panel):
-    a = lagged_scores(panel.values, DIFFUSE_PRIOR, 8, threads=1)
-    b = lagged_scores(panel.values, DIFFUSE_PRIOR, 8, threads=3)
-    c = lagged_scores(panel.values, DIFFUSE_PRIOR, 8, threads=5)
-    assert np.array_equal(a, b)
-    assert np.array_equal(a, c)
 
 
 def test_lagged_scores_in_unit_interval(panel):
@@ -254,17 +238,6 @@ def test_detect_t_index_offset(panel):
     assert rep.t_index[-1] == 59
 
 
-def test_detect_thread_determinism(panel):
-    scores = lagged_scores(panel.values, DIFFUSE_PRIOR, 8)
-    truth = panel.truth[:, 8:]
-    cfg = DetectConfig(bfdr=BfdrConfig(q=0.5, a=2.0, k=100))
-    one = detect(scores, truth, cfg, q_values=(0.3, 0.02), threads=1)
-    four = detect(scores, truth, cfg, q_values=(0.3, 0.02), threads=4)
-    assert np.array_equal(one.flags_bfdr, four.flags_bfdr)
-    np.testing.assert_array_equal(one.eta_s, four.eta_s)
-    assert np.array_equal(one.feasible, four.feasible)
-
-
 def test_detect_config_rejects_bad_miss_cost():
     # c1 and the orientation are checked by the flag rule itself
     for c1 in (-2.0, -1.0, np.nan):
@@ -354,6 +327,27 @@ def test_detect_confusion_counts(panel):
         assert conf[ti, 2] == np.sum(~flags & t)
         assert conf[ti, 3] == np.sum(~flags & ~t)
     assert conf.sum(axis=-1).max() == 12  # counts partition the panel
+
+
+@pytest.mark.parametrize("levels", [0, 3])
+@pytest.mark.parametrize("fill", ["random", "all_true", "all_false"])
+@pytest.mark.parametrize("truth_fill", ["random", "all_true", "all_false"])
+def test_confusion_cube_matches_four_cube_form(fill, truth_fill, levels):
+    # counts from tp and the margins equal the four masked-cube sums exactly,
+    # dtype included
+    rng = np.random.default_rng(11)
+
+    def cube(kind, shape):
+        if kind == "random":
+            return rng.random(shape) < 0.3
+        return np.full(shape, kind == "all_true")
+
+    flags, truth = cube(fill, (levels, 17, 9)), cube(truth_fill, (17, 9))
+    pairs = ((flags, truth), (flags, ~truth), (~flags, truth), (~flags, ~truth))
+    expect = np.stack([(f & t).sum(axis=1) for f, t in pairs], axis=-1)
+    got = pipeline._confusion_cube(flags, truth)
+    assert got.dtype == expect.dtype
+    assert np.array_equal(got, expect)
 
 
 # ------------------------------------------------------------------ file IO
