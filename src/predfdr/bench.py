@@ -6,16 +6,16 @@ selector call, and aborts on any disagreement between the two results.
 """
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .bfdr import BfdrConfig, ScoreBatch, gbfdr_looped, gbfdr_vectorized
+from .simgen import write_rows_csv
 
 __all__ = ["BenchSpec", "BenchRun", "BenchReport", "run_bench", "reference_spec"]
 
@@ -62,36 +62,28 @@ class BenchReport:
     spec: BenchSpec
     runs: List[BenchRun] = field(default_factory=list)
 
+    def _seconds(self) -> Dict[Tuple[str, int], List[float]]:
+        """(method, k) -> run times in run order; keys by k, then method."""
+        secs = {(method, k): [] for k in self.spec.k_values for method in _METHODS}
+        for r in self.runs:
+            secs[r.method, r.k].append(r.seconds)
+        return secs
+
     def summary(self) -> List[dict]:
         """Per (method, k): total, mean and sd of the run times."""
         out = []
-        for k in self.spec.k_values:
-            for method in _METHODS:
-                secs = [r.seconds for r in self.runs if r.method == method and r.k == k]
-                n = len(secs)
-                mean = sum(secs) / n
-                var = sum((x - mean) ** 2 for x in secs) / (n - 1) if n > 1 else 0.0
-                out.append(
-                    {
-                        "method": method,
-                        "k": k,
-                        "total": sum(secs),
-                        "mean": mean,
-                        "sd": math.sqrt(var),
-                    }
-                )
+        for (method, k), secs in self._seconds().items():
+            n = len(secs)
+            mean = sum(secs) / n
+            var = sum((x - mean) ** 2 for x in secs) / (n - 1) if n > 1 else 0.0
+            out.append(
+                {"method": method, "k": k, "total": sum(secs), "mean": mean, "sd": math.sqrt(var)}
+            )
         return out
 
     def median_seconds(self) -> dict:
         """(method, k) -> median run time; used for the scaling check."""
-        out = {}
-        for k in self.spec.k_values:
-            for method in _METHODS:
-                secs = sorted(
-                    r.seconds for r in self.runs if r.method == method and r.k == k
-                )
-                out[(method, k)] = float(np.median(secs))
-        return out
+        return {key: float(np.median(secs)) for key, secs in self._seconds().items()}
 
 
 def run_bench(spec: BenchSpec) -> BenchReport:
@@ -128,20 +120,19 @@ def run_bench(spec: BenchSpec) -> BenchReport:
 
 
 def write_bench_csv(report: BenchReport, out_dir) -> dict:
-    """Write bench.csv (per run) and bench_summary.csv (per method and k)."""
+    """Write bench.csv (per run) and bench_summary.csv (per method and k);
+    floats are written as repr() writes them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {"bench": out / "bench.csv", "summary": out / "bench_summary.csv"}
-    with open(paths["bench"], "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["method", "k", "replication", "seconds", "eta_index"])
-        for r in report.runs:
-            wr.writerow([r.method, r.k, r.replication, repr(r.seconds), r.eta_index])
-    with open(paths["summary"], "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["method", "k", "total", "mean", "sd"])
-        for row in report.summary():
-            wr.writerow(
-                [row["method"], row["k"], repr(row["total"]), repr(row["mean"]), repr(row["sd"])]
-            )
-    return {k: str(v) for k, v in paths.items()}
+    runs = ["method", "k", "replication", "seconds", "eta_index"]
+    summary = ["method", "k", "total", "mean", "sd"]
+    return {
+        "bench": write_rows_csv(
+            out / "bench.csv", runs, ([getattr(r, c) for c in runs] for r in report.runs)
+        ),
+        "summary": write_rows_csv(
+            out / "bench_summary.csv",
+            summary,
+            ([row[c] for c in summary] for row in report.summary()),
+        ),
+    }

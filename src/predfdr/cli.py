@@ -16,10 +16,11 @@ from . import __version__
 from .bfdr import BfdrConfig
 from .bench import BenchSpec, reference_spec, run_bench, write_bench_csv
 from .decision import ORIENTATIONS
-from .pipeline import DetectConfig, detect, lagged_scores, write_report, write_scores_csv
+from .pipeline import DetectConfig, detect, lagged_scores, write_report
 from .predictive import NigParams
 from .simgen import SimSpec, as_finite, as_truth, gen_data, json_type_error, load_matrix_csv
-from .simgen import save_sim
+# the matrix writer keeps the name perfbench/spans.py hooks
+from .simgen import save_sim, write_matrix_csv as write_scores_csv
 from .validation import run_checks
 
 OUT_ENV = "PREDFDR_OUT"
@@ -127,7 +128,6 @@ def _run_detect(config: dict) -> int:
     )
     cfg = DetectConfig(
         bfdr=BfdrConfig(q=qs[0], a=config["a"], k=config["k"]),
-        prior=prior,
         c1=config["c1"],
         baseline_etas=base,
         orientation=config["orientation"],

@@ -7,7 +7,6 @@ counts and classification metrics when truth is available.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -19,7 +18,7 @@ from . import decision
 from .bfdr import BfdrConfig, ScoreBatch, gbfdr
 from .decision import orient, threshold_flags
 from .predictive import NigParams, _window_z, _z_scores
-from .simgen import as_truth
+from .simgen import as_truth, write_rows_csv
 
 __all__ = [
     "DIFFUSE_PRIOR",
@@ -29,7 +28,6 @@ __all__ = [
     "detect",
     "confusion_metrics",
     "write_report",
-    "write_scores_csv",
 ]
 
 # Weak prior used throughout: near-zero weight on the prior mean and a wide
@@ -46,10 +44,11 @@ class DetectConfig:
 
     ``bfdr.q`` is used when detect() is not given an explicit q grid.
     ``baseline_etas=None`` pairs one fixed threshold with each evaluated q.
+    The prior is a scoring setting: it is passed to lagged_scores, which
+    makes the scores detect() reads.
     """
 
     bfdr: BfdrConfig
-    prior: NigParams = DIFFUSE_PRIOR
     c1: float = 0.0
     baseline_etas: Optional[Tuple[float, ...]] = None
     orientation: str = "null_score"
@@ -188,7 +187,8 @@ def detect(
 
     ``scores`` is the (series, timestep) matrix from lagged_scores; ``truth``
     must be aligned to the same columns (pass None to skip metrics).  The
-    selector runs once per (q, timestep) on the oriented scores; the flag rule
+    selector runs once per (q, timestep) on that timestep's oriented scores,
+    so no oriented copy of the whole matrix is made; the flag rule
     then runs once per method, on the whole threshold array of the selected
     levels and on that of the fixed baselines.
     """
@@ -205,11 +205,9 @@ def detect(
     qs = tuple(level.q for level in levels)
     etas = cfg.baseline_etas if cfg.baseline_etas is not None else qs
 
-    sel_input = orient(r, cfg.orientation)
     eta_s = np.empty((len(levels), nt))
-
     for ti in range(nt):
-        batch = ScoreBatch(sel_input[:, ti])
+        batch = ScoreBatch(orient(r[:, ti], cfg.orientation))
         for qi, level in enumerate(levels):
             # an infeasible level's eta is None, which stores as NaN
             eta_s[qi, ti] = gbfdr(batch, level).eta
@@ -233,19 +231,6 @@ def detect(
         report.metrics_bfdr = confusion_metrics(report.confusion_bfdr)
         report.metrics_fixed = confusion_metrics(report.confusion_fixed)
     return report
-
-
-def write_scores_csv(scores: np.ndarray, path, t_offset: int = 0) -> None:
-    header = ",".join(f"t{t_offset + i}" for i in range(scores.shape[1]))
-    np.savetxt(path, scores, fmt="%.17g", delimiter=",", header=header, comments="")
-
-
-def _write_csv(path: Path, header, rows) -> str:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows(rows)
-    return str(path)
 
 
 # flags.csv rows formatted per write: bounds the memory a dense level takes
@@ -300,7 +285,7 @@ def write_report(report: DetectionReport, out_dir) -> dict:
             yield (t, q, eta_s, eta_r, 1) if feas else (t, q, "", "", 0)
 
     paths = {
-        "thresholds": _write_csv(
+        "thresholds": write_rows_csv(
             out / "thresholds.csv", ["t", "q", "eta_s", "eta_r", "feasible"], threshold_rows()
         ),
         "flags": _write_flags(out / "flags.csv", report),
@@ -311,13 +296,13 @@ def write_report(report: DetectionReport, out_dir) -> dict:
         rows = chain(
             level_rows(report.qs, bfdr, "bfdr"), level_rows(report.baseline_etas, fixed, "fixed")
         )
-        paths["metrics"] = _write_csv(
+        paths["metrics"] = write_rows_csv(
             out / "metrics.csv", ["t", "q", "method", *METRIC_NAMES], rows
         )
         qi = [i for i, q in enumerate(report.qs) if q in report.baseline_etas]
         bi = [report.baseline_etas.index(report.qs[i]) for i in qi]
         diffs = [b[qi] - f[bi] for b, f in zip(bfdr, fixed)]
-        paths["diff"] = _write_csv(
+        paths["diff"] = write_rows_csv(
             out / "diff.csv",
             ["t", "q", *[f"{n}_diff" for n in METRIC_NAMES]],
             level_rows([report.qs[i] for i in qi], diffs),

@@ -105,9 +105,22 @@ def gen_data(spec: SimSpec) -> SimData:
     return SimData(spec, values, truth, mu, sd_in, sd_out)
 
 
-def _write_matrix(path: Path, mat: np.ndarray, fmt: str) -> None:
-    header = ",".join(f"t{i}" for i in range(mat.shape[1]))
-    np.savetxt(path, mat, fmt=fmt, delimiter=",", header=header, comments="")
+def write_matrix_csv(mat: np.ndarray, path, t_offset: int = 0) -> None:
+    """Write a (series, timestep) matrix as load_matrix_csv reads it: a header
+    row t<t_offset>, t<t_offset + 1>, ..., then one row per series with each
+    cell in %.17g (0 and 1 for bools); LF line ends."""
+    header = ",".join(f"t{t_offset + i}" for i in range(mat.shape[1]))
+    np.savetxt(path, mat, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+def write_rows_csv(path: Path, header, rows) -> str:
+    """Write a header row and then ``rows`` with csv.writer: CRLF line ends,
+    floats as repr() writes them."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
+    return str(path)
 
 
 def save_sim(data: SimData, out_dir) -> dict:
@@ -122,8 +135,8 @@ def save_sim(data: SimData, out_dir) -> dict:
         "truth": out / "truth.csv",
         "simspec": out / "simspec.json",
     }
-    _write_matrix(paths["data"], data.values, "%.17g")
-    _write_matrix(paths["truth"], data.truth.astype(int), "%d")
+    write_matrix_csv(data.values, paths["data"])
+    write_matrix_csv(data.truth, paths["truth"])
     paths["simspec"].write_text(json.dumps(asdict(data.spec), indent=2) + "\n")
     return {k: str(v) for k, v in paths.items()}
 

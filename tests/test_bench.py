@@ -3,7 +3,14 @@ import csv
 
 import pytest
 
-from predfdr.bench import BenchSpec, reference_spec, run_bench, write_bench_csv
+from predfdr.bench import (
+    BenchReport,
+    BenchRun,
+    BenchSpec,
+    reference_spec,
+    run_bench,
+    write_bench_csv,
+)
 
 
 def tiny_spec(**kw):
@@ -83,3 +90,54 @@ def test_write_bench_csv(tmp_path):
         srows = list(csv.DictReader(fh))
     assert len(srows) == 4
     assert all(float(r["mean"]) > 0.0 for r in srows)
+
+
+def fixed_report():
+    # two replications per (method, k), with fixed run times
+    secs = {
+        ("looped", 10): (0.25, 0.5),
+        ("vectorized", 10): (0.1, 0.2),
+        ("looped", 20): (1.0, 3.0),
+        ("vectorized", 20): (0.125, 0.125),
+    }
+    runs = [
+        BenchRun(method, k, rep, secs[method, k][rep], 3 if k == 10 else -1)
+        for k in (10, 20)
+        for rep in range(2)
+        for method in ("looped", "vectorized")
+    ]
+    return BenchReport(BenchSpec(replications=2, m=5, k_values=(10, 20)), runs)
+
+
+def test_write_bench_csv_exact_bytes(tmp_path):
+    # repr floats, CRLF line ends; runs in run order, summary by k then method
+    paths = write_bench_csv(fixed_report(), tmp_path)
+    with open(paths["bench"], "rb") as fh:
+        assert fh.read() == (
+            b"method,k,replication,seconds,eta_index\r\n"
+            b"looped,10,0,0.25,3\r\n"
+            b"vectorized,10,0,0.1,3\r\n"
+            b"looped,10,1,0.5,3\r\n"
+            b"vectorized,10,1,0.2,3\r\n"
+            b"looped,20,0,1.0,-1\r\n"
+            b"vectorized,20,0,0.125,-1\r\n"
+            b"looped,20,1,3.0,-1\r\n"
+            b"vectorized,20,1,0.125,-1\r\n"
+        )
+    with open(paths["summary"], "rb") as fh:
+        assert fh.read() == (
+            b"method,k,total,mean,sd\r\n"
+            b"looped,10,0.75,0.375,0.1767766952966369\r\n"
+            b"vectorized,10,0.30000000000000004,0.15000000000000002,0.07071067811865477\r\n"
+            b"looped,20,4.0,2.0,1.4142135623730951\r\n"
+            b"vectorized,20,0.25,0.125,0.0\r\n"
+        )
+
+
+def test_median_seconds_fixed_runs():
+    assert fixed_report().median_seconds() == {
+        ("looped", 10): 0.375,
+        ("vectorized", 10): 0.15000000000000002,
+        ("looped", 20): 2.0,
+        ("vectorized", 20): 0.125,
+    }

@@ -1,6 +1,10 @@
 """Rolling scorer and the per-timestep thresholding pipeline."""
+import collections
 import csv
+import importlib.util
 import itertools
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +23,9 @@ from predfdr.pipeline import (
     detect,
     lagged_scores,
     write_report,
-    write_scores_csv,
 )
 from predfdr.predictive import NigParams, _window_scores, nig_update, posterior_predictive, score
-from predfdr.simgen import SimSpec, gen_data
+from predfdr.simgen import SimSpec, gen_data, write_matrix_csv
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +250,53 @@ def test_detect_config_rejects_bad_miss_cost():
         DetectConfig(bfdr=BfdrConfig(q=0.2), orientation="sideways")
 
 
+def test_detect_holds_no_copy_of_the_scores():
+    # one level, no truth: beyond its input, detect holds the two bool flag
+    # cubes (2 bytes a cell) and per-batch arrays, not a copy of the scores
+    scores = np.random.default_rng(3).random((400, 500))
+    cfg = DetectConfig(bfdr=BfdrConfig(q=0.2, k=100))
+    tracemalloc.start()
+    try:
+        detect(scores, None, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * scores.size
+
+
+def test_detect_calls_what_perfbench_hooks(panel, monkeypatch):
+    # perfbench traces a run by replacing the module attributes in its HOOKS
+    # table, and skips one that is missing; so each must exist, and detect
+    # must reach the selector, flag rule and metrics through pipeline's
+    # globals, the selector once per (level, timestep)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    for mod_name, attr, _, _ in spans.HOOKS:
+        assert callable(getattr(importlib.import_module(mod_name), attr, None)), (mod_name, attr)
+    calls = collections.Counter()
+    for name in ("gbfdr", "threshold_flags", "confusion_metrics"):
+        fn = getattr(pipeline, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    scores = lagged_scores(panel.values, DIFFUSE_PRIOR, 8)
+    cfg = DetectConfig(bfdr=BfdrConfig(q=0.2, k=100))
+    detect(scores, panel.truth[:, 8:], cfg, q_values=(0.3, 0.1, 0.05))
+    assert calls == {"gbfdr": 3 * scores.shape[1], "threshold_flags": 2, "confusion_metrics": 2}
+
+
+def test_detect_config_has_no_prior():
+    # the prior reaches the scores only through lagged_scores
+    with pytest.raises(TypeError):
+        DetectConfig(bfdr=BfdrConfig(q=0.2), prior=DIFFUSE_PRIOR)
+
+
 def test_detect_shape_errors(panel):
     scores = lagged_scores(panel.values, DIFFUSE_PRIOR, 8)
     cfg = DetectConfig(bfdr=BfdrConfig(q=0.2))
@@ -354,11 +404,10 @@ def test_confusion_cube_matches_four_cube_form(fill, truth_fill, levels):
 
 
 def test_write_scores_csv_header(tmp_path):
+    # a header t<offset+i>, %.17g values, LF line ends
     p = tmp_path / "scores.csv"
-    write_scores_csv(np.array([[0.25, 0.5]]), p, t_offset=30)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "t30,t31"
-    assert [float(v) for v in lines[1].split(",")] == [0.25, 0.5]
+    write_matrix_csv(np.array([[0.25, 0.1], [1.0, 0.0]]), p, t_offset=30)
+    assert p.read_bytes() == b"t30,t31\n0.25,0.10000000000000001\n1,0\n"
 
 
 def test_write_report_files(tmp_path, panel):

@@ -143,6 +143,22 @@ def test_save_load_roundtrip(tmp_path):
     assert np.allclose(again.mu, data.mu)
 
 
+def test_save_sim_exact_bytes(tmp_path):
+    # a header t0..t{T-1}, %.17g values, 0/1 truth, LF line ends
+    data = replace(
+        gen_data(SimSpec(m=2, t_len=3, lag=1)),
+        values=np.array([[0.5, -2.0, 1e20], [0.1, 0.0, -1.5e-7]]),
+        truth=np.array([[True, False, False], [False, False, True]]),
+    )
+    paths = save_sim(data, tmp_path)
+    with open(paths["data"], "rb") as fh:
+        assert fh.read() == (
+            b"t0,t1,t2\n0.5,-2,1e+20\n0.10000000000000001,0,-1.4999999999999999e-07\n"
+        )
+    with open(paths["truth"], "rb") as fh:
+        assert fh.read() == b"t0,t1,t2\n1,0,0\n0,0,1\n"
+
+
 @pytest.mark.parametrize(
     "edit, named",
     [
