@@ -233,7 +233,7 @@ def detect(
     return report
 
 
-# flags.csv rows formatted per write: bounds the memory a dense level takes
+# cells per block of series written to flags.csv: bounds a dense level's memory
 _FLAG_CHUNK = 65536
 
 
@@ -244,6 +244,7 @@ def _write_flags(path: Path, report: DetectionReport) -> str:
     t_cells = np.array([f"{t}," for t in report.t_index.tolist()], dtype=object)
     series = report.flags_bfdr.shape[1]
     j_cells = np.array([f"{j}\r\n" for j in range(series)], dtype=object)
+    rows = max(1, _FLAG_CHUNK // max(nt, 1))
     with open(path, "w", newline="") as fh:
         fh.write("method,q,t,series\r\n")
         for method, levels, cube in (
@@ -252,10 +253,10 @@ def _write_flags(path: Path, report: DetectionReport) -> str:
         ):
             for level, flags in zip(levels, cube):
                 head = f"{method},{level!r},"
-                cells = np.flatnonzero(flags)
-                for lo in range(0, cells.size, _FLAG_CHUNK):
-                    j, ti = np.divmod(cells[lo : lo + _FLAG_CHUNK], nt)
-                    fh.write(head + head.join((t_cells[ti] + j_cells[j]).tolist()))
+                for lo in range(0, series, rows):
+                    j, ti = np.divmod(np.flatnonzero(flags[lo : lo + rows]), nt)
+                    if j.size:
+                        fh.write(head + head.join((t_cells[ti] + j_cells[lo + j]).tolist()))
     return str(path)
 
 

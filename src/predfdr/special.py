@@ -1,15 +1,17 @@
 """Regularized incomplete beta function and the Student-t CDF built on it.
 
 The continued fraction is evaluated with the modified Lentz algorithm in
-double precision.  Converged lanes are frozen so that vectorised calls give
-the same digits as the scalar recurrence.  Of the loop's five doubles per
-lane, four sit in two (2, N) blocks, the Lentz terms (d, c) and the
-coefficient with a scratch row (aa, buf), so one call updates or floors
-both Lentz terms; the second block doubles as the floor's scratch.
+double precision.  A converged lane is frozen by zeroing its x, which makes
+every later term exactly 1, so vectorised calls give the same digits as the
+scalar recurrence.  Of the loop's six doubles per lane, four sit in two
+(2, N) blocks, the Lentz terms (d, c) and the coefficient with a scratch row
+(aa, buf), so one call updates or floors both Lentz terms; the second block
+doubles as the floor's scratch.  Lanes needing the same shapes share a loop.
 """
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,7 +37,13 @@ def _beta_cont_frac(a: float, b: float, x: np.ndarray) -> np.ndarray:
     ``x < (a + 1) / (a + b + 2)`` (the caller routes the other branch through
     the symmetry identity).  Every update is written in place into a fixed
     set of arrays shaped like ``x``, applying the recurrence's operations in
-    their usual order, so the working set stays five doubles per lane.
+    their usual order, so the working set stays six doubles per lane.
+
+    It works on a private copy of ``x`` (a temporary argument is freed once
+    copied) and freezes a converged lane by setting its x to 0: from the
+    next half-step on ``aa`` is +/-0 and ``d``, ``c`` and ``delta`` are
+    exactly 1, so ``h`` is updated unmasked, in 28 numpy calls per
+    iteration.  A NaN ``delta`` fails ``delta < eps``: its lane keeps running.
 
     The Lentz terms ``d`` and ``c`` are the two rows of one (2, ...) block,
     so each half-step adds one and applies the floor to both in one call
@@ -45,10 +53,9 @@ def _beta_cont_frac(a: float, b: float, x: np.ndarray) -> np.ndarray:
     (4, ...) array, since at a few thousand lanes a single block would cross
     the allocator's 128 KiB mmap threshold and raise peak RSS.  The floor's
     mask ``small`` is a (2, ...) bool block whose first row also takes the
-    convergence test; a lane that passes it leaves ``active`` for good, so
-    no separate converged mask is kept.
+    convergence test.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -66,7 +73,6 @@ def _beta_cont_frac(a: float, b: float, x: np.ndarray) -> np.ndarray:
     _floor(cd, ab, small)  # c is 1, so only d can move
     np.divide(1.0, d, d)
     h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
     for it in range(1, _MAX_ITER + 1):
         m2 = 2 * it
         np.multiply(it * (b - it), x, aa)
@@ -77,10 +83,8 @@ def _beta_cont_frac(a: float, b: float, x: np.ndarray) -> np.ndarray:
         cd += 1.0
         _floor(cd, ab, small)
         np.divide(1.0, d, d)
-        # h <- h * d * c on the lanes still running
-        np.multiply(h, d, buf)
-        buf *= c
-        np.copyto(h, buf, where=active)
+        h *= d
+        h *= c
         np.multiply(-(a + it) * (qab + it), x, aa)
         aa /= (a + m2) * (qap + m2)
         np.multiply(aa, d, d)
@@ -89,13 +93,14 @@ def _beta_cont_frac(a: float, b: float, x: np.ndarray) -> np.ndarray:
         _floor(cd, ab, small)
         np.divide(1.0, d, d)
         delta = np.multiply(d, c, buf)
-        np.multiply(h, delta, aa)
-        np.copyto(h, aa, where=active)
+        h *= delta
         delta -= 1.0
         np.abs(delta, delta)
-        # a converged lane keeps its h from here on: active and not converged
-        np.greater(active, np.less(delta, _EPS, small[0]), active)
-        if not active.any():
+        # x *= 0.0 where delta < eps, else (a NaN delta too) 1.0
+        converged = np.less(delta, _EPS, small[0])
+        np.logical_not(converged, aa)
+        x *= aa
+        if converged.all():
             break
     else:
         raise RuntimeError(
@@ -104,24 +109,39 @@ def _beta_cont_frac(a: float, b: float, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def _betainc_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    interior = (x > 0.0) & (x < 1.0)
-    xi = x[interior]
-    lg = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    # front is overwritten by the result, lane by lane
-    front = np.exp(lg + a * np.log(xi) + b * np.log1p(-xi))
-    direct = xi < (a + 1.0) / (a + b + 2.0)
-    if direct.any():
-        front[direct] = _beta_cont_frac(a, b, xi[direct]) * front[direct] / a
-    flipped = ~direct
-    if flipped.any():
-        front[flipped] = 1.0 - _beta_cont_frac(b, a, 1.0 - xi[flipped]) * front[flipped] / b
-    out = np.full_like(x, np.nan)  # NaN lanes stay NaN
-    out[x <= 0.0] = 0.0
-    out[x >= 1.0] = 1.0
-    out[interior] = front
-    return out
+def _betainc_array(a: float, b: float, x, y=()) -> list:
+    """[I_x(a, b), I_y(b, a)] for points in [0, 1] or NaN.  Each interior
+    lane runs the continued fraction of its small side, and lanes that need
+    the same shapes share one loop, so a call runs at most two."""
+    jobs, lanes = [], {(a, b): [], (b, a): []}
+    for p, q, v in ((a, b, x), (b, a, y)):
+        v = np.asarray(v, dtype=float)
+        interior = (v > 0.0) & (v < 1.0)
+        vi = v[interior]
+        lg = math.lgamma(p + q) - math.lgamma(p) - math.lgamma(q)
+        # front is overwritten by the result, lane by lane
+        front = np.exp(lg + p * np.log(vi) + q * np.log1p(-vi))
+        direct = vi < (p + 1.0) / (p + q + 2.0)
+        lanes[p, q].append(vi[direct])
+        lanes[q, p].append(1.0 - vi[~direct])
+        jobs.append((p, q, v, interior, front, direct))
+    del vi
+    runs = {}
+    for key in list(lanes):
+        sizes = [part.size for part in lanes[key]]
+        # the parts go as one temporary, so they are freed before the loop runs
+        cf = _beta_cont_frac(*key, np.concatenate(lanes.pop(key))) if any(sizes) else np.empty(0)
+        runs[key] = iter([cf[end - n : end] for end, n in zip(accumulate(sizes), sizes)])
+    outs = []
+    for p, q, v, interior, front, direct in jobs:
+        front[direct] = next(runs[p, q]) * front[direct] / p
+        front[~direct] = 1.0 - next(runs[q, p]) * front[~direct] / q
+        out = np.full_like(v, np.nan)  # NaN lanes stay NaN
+        out[v <= 0.0] = 0.0
+        out[v >= 1.0] = 1.0
+        out[interior] = front
+        outs.append(out)
+    return outs
 
 
 def betainc(a: float, b: float, x):
@@ -146,7 +166,7 @@ def betainc(a: float, b: float, x):
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also rejects NaN
         raise ValueError("betainc requires 0 <= x <= 1")
-    out = _betainc_array(a, b, arr)
+    out = _betainc_array(a, b, arr)[0]
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
@@ -167,8 +187,10 @@ def student_t_cdf(x, dof: float, loc: float = 0.0, scale: float = 1.0):
         raise ValueError(f"student_t_cdf requires finite loc, got {loc}")
     if not 0.0 < scale < math.inf:
         raise ValueError(f"student_t_cdf requires finite scale > 0, got {scale}")
-    z = np.atleast_1d((np.asarray(x, dtype=float) - loc) / scale)
-    w = z * z
+    # z or w = z * z may overflow to inf, a tail of exactly 0 or 1
+    with np.errstate(over="ignore"):
+        z = np.atleast_1d((np.asarray(x, dtype=float) - loc) / scale)
+        w = z * z
     neg = z <= 0.0
     centre = w < dof
     tail = ~centre
@@ -181,12 +203,10 @@ def student_t_cdf(x, dof: float, loc: float = 0.0, scale: float = 1.0):
     # only the beta arguments stay alive through the continued fractions
     del z, w
     out = np.empty_like(neg, dtype=float)
-    if centre.any():
-        t = _betainc_array(0.5, dof / 2.0, centre_arg)
-        out[centre] = np.where(neg[centre], 0.5 - 0.5 * t, 0.5 + 0.5 * t)
-    if tail.any():
-        half = 0.5 * _betainc_array(dof / 2.0, 0.5, tail_arg)
-        out[tail] = np.where(neg[tail], half, 1.0 - half)
+    t, half = _betainc_array(0.5, dof / 2.0, centre_arg, tail_arg)
+    out[centre] = np.where(neg[centre], 0.5 - 0.5 * t, 0.5 + 0.5 * t)
+    half *= 0.5
+    out[tail] = np.where(neg[tail], half, 1.0 - half)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(out[0])
     return out

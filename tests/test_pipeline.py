@@ -570,6 +570,32 @@ def test_flags_csv_matches_csv_writer(tmp_path):
     assert got == (tmp_path / "reference.csv").read_bytes()
 
 
+@pytest.mark.parametrize("chunk", [1, 69, 140, 141, 980])
+def test_flags_csv_bytes_do_not_depend_on_row_blocks(tmp_path, monkeypatch, chunk):
+    # each level is walked in blocks of max(1, chunk // nt) series: one series
+    # (also when a series alone exceeds the chunk), two, and fourteen, a
+    # ragged split of the 30 series; a block with no flags writes nothing
+    rng = np.random.default_rng(3)
+    m, nt = 30, 70
+    flags_bfdr = rng.random((3, m, nt)) < np.array([0.0, 0.2, 1.0])[:, None, None]
+    flags_bfdr[1, 5:17] = False
+    eta_s = np.full((3, nt), 0.1)
+    report = DetectionReport(
+        t_index=np.arange(nt) + 8,
+        qs=(0.5, 2.0**-3, 2.0**-15),
+        baseline_etas=(0.5, 0.01),
+        eta_s=eta_s,
+        eta_r=1.0 - eta_s,
+        feasible=np.ones((3, nt), dtype=bool),
+        flags_bfdr=flags_bfdr,
+        flags_fixed=rng.random((2, m, nt)) < 0.05,
+    )
+    whole = Path(write_report(report, tmp_path / "whole")["flags"]).read_bytes()
+    monkeypatch.setattr(pipeline, "_FLAG_CHUNK", chunk)
+    blocks = Path(write_report(report, tmp_path / "blocks")["flags"]).read_bytes()
+    assert blocks == whole
+
+
 def test_write_report_without_truth(tmp_path, panel):
     scores = lagged_scores(panel.values, DIFFUSE_PRIOR, 8)
     rep = detect(scores, None, DetectConfig(bfdr=BfdrConfig(q=0.2)))

@@ -1,6 +1,7 @@
 """Accuracy and invariance tests for the incomplete beta and Student-t CDF."""
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,65 @@ def test_t_cdf_monotone_and_bounded():
 def test_t_cdf_infinite_tails():
     assert student_t_cdf(-np.inf, 3.0) == 0.0
     assert student_t_cdf(np.inf, 3.0) == 1.0
+
+
+def test_t_cdf_huge_arguments_give_exact_tails_without_warning():
+    # beyond |z| of about 1.3e154 z * z overflows to inf, and past 1.8e308 so
+    # does z itself; the tail branch maps either to exactly 0 or 1
+    big = np.array([1e200, -1e200, 1e300, -1e300, 1.7e308, -1.7e308])
+    want = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for loc, scale in [(0.0, 1.0), (3.0, 2.5), (-1e10, 0.25)]:
+            assert student_t_cdf(big, 3.0, loc, scale).tobytes() == want.tobytes()
+            for v, w in zip(big.tolist(), want.tolist()):
+                assert student_t_cdf(v, 3.0, loc, scale) == w
+
+
+def test_callers_inputs_are_left_untouched():
+    # the continued fraction zeroes the x of converged lanes in place, so it
+    # must only ever see a copy of what a caller passed
+    rng = np.random.default_rng(21)
+    panel = rng.standard_t(5.0, size=(30, 20)) * 2.0
+    for x in (panel.ravel(), np.array(1.7), panel[::3, 1::2]):
+        before = x.copy()
+        student_t_cdf(x, 5.0, 0.2, 1.5)
+        assert x.tobytes() == before.tobytes()
+    probs = rng.uniform(0.0, 1.0, size=(30, 20))
+    for x in (probs.ravel(), np.array(0.3), probs[::3, 1::2]):
+        before = x.copy()
+        betainc(2.5, 0.5, x)
+        assert x.tobytes() == before.tobytes()
+
+
+def test_t_cdf_runs_one_continued_fraction_per_shape_pair(monkeypatch):
+    # centre lanes below the symmetry bound run cf(1/2, dof/2); centre lanes
+    # above it and tail lanes both run cf(dof/2, 1/2), in one loop
+    dof = 30.02
+    x = np.array([0.3, -0.2, 1.0, 2.5, -3.0, 4.9, 9.0, -40.0, 0.0, np.inf, -np.inf])
+    w = x * x
+    centre = w < dof
+    centre_arg = w[centre] / (dof + w[centre])
+    tail_arg = dof / (dof + w[~centre])
+    flipped = centre_arg >= 1.5 / (dof / 2.0 + 2.5)
+    assert flipped.any() and (~flipped).any() and (~centre).any()
+    # each branch on its own, as separate calls
+    t = kernel._betainc_array(0.5, dof / 2.0, centre_arg)[0]
+    half = 0.5 * kernel._betainc_array(dof / 2.0, 0.5, tail_arg)[0]
+    want = np.empty_like(x)
+    want[centre] = np.where(x[centre] <= 0.0, 0.5 - 0.5 * t, 0.5 + 0.5 * t)
+    want[~centre] = np.where(x[~centre] <= 0.0, half, 1.0 - half)
+    calls = []
+    cont_frac = kernel._beta_cont_frac
+
+    def counted(a, b, v):
+        calls.append((a, b))
+        return cont_frac(a, b, v)
+
+    monkeypatch.setattr(kernel, "_beta_cont_frac", counted)
+    got = student_t_cdf(x, dof)
+    assert sorted(calls) == [(0.5, dof / 2.0), (dof / 2.0, 0.5)]
+    assert got.tobytes() == want.tobytes()
 
 
 def test_t_cdf_scalar_and_array_agree():
