@@ -67,6 +67,14 @@ class SimData:
     sd_outlier: np.ndarray
 
 
+# cells per block of series, in the generator and in the bool writer: bounds
+# the block buffers to a cache-sized working set, as pipeline._CDF_CELLS does.
+# The generator ran as fast with blocks of 2**13 to 2**16 cells, but its two
+# buffers (uniforms, extra draws) put a default simulate's peak RSS about
+# 0.5 MB above a per-series loop's at 2**16 and level with it at 2**15.
+_BLOCK_CELLS = 2**14
+
+
 def gen_signal(spec: SimSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic signal paths: mean curve and the two sd ramps."""
     t = np.arange(spec.t_len, dtype=float)
@@ -85,32 +93,73 @@ def gen_data(spec: SimSpec) -> SimData:
 
     Each series gets an independent substream spawned from the spec seed, so
     results are reproducible and independent of any parallel split.  Within a
-    series the draw order is: outlier indicators, inlier draws, outlier
-    components.
+    series the draws are, in order: t_len uniforms (a cell is an outlier when
+    its uniform is below ``outlier_rate``), t_len standard normals for the
+    inlier draw, and t_len standard normals for the extra outlier component.
+
+    numpy's ``normal(mu, sd)`` is ``mu + sd * standard_normal``, so the
+    normals are drawn straight into the rows of ``values`` and a block
+    buffer, and scaled and shifted in place once per block of about 2**14
+    cells; every value is bit for bit what a per-series ``normal(mu, sd)``
+    gives, and the blocks bound the working set beside the panel.  What is
+    left of the cost is seeding: spawning one SeedSequence and Generator per
+    series.
     """
     mu, sd_in, sd_out = gen_signal(spec)
-    values = np.empty((spec.m, spec.t_len))
-    truth = np.empty((spec.m, spec.t_len), dtype=bool)
-    streams = np.random.SeedSequence(spec.seed).spawn(spec.m)
-    for j in range(spec.m):
-        rng = np.random.default_rng(streams[j])
-        is_out = rng.random(spec.t_len) < spec.outlier_rate
-        inlier = rng.normal(mu, sd_in)
-        extra = rng.normal(mu, sd_out)
-        outlier = inlier + extra
+    m, t_len = spec.m, spec.t_len
+    values = np.empty((m, t_len))
+    truth = np.empty((m, t_len), dtype=bool)
+    seq = np.random.SeedSequence(spec.seed)
+    rows = min(m, max(1, _BLOCK_CELLS // t_len))
+    u_buf = np.empty((rows, t_len))
+    extra_buf = np.empty_like(u_buf)
+    for r0 in range(0, m, rows):
+        inlier = values[r0 : r0 + rows]
+        n = inlier.shape[0]
+        u, extra = u_buf[:n], extra_buf[:n]
+        # spawning a block at a time hands out the same children in order
+        for j, stream in enumerate(seq.spawn(n)):
+            rng = np.random.default_rng(stream)
+            rng.random(out=u[j])
+            rng.standard_normal(out=inlier[j])
+            rng.standard_normal(out=extra[j])
+        inlier *= sd_in
+        inlier += mu
+        # the extra draw becomes the outlier value in place
+        extra *= sd_out
+        extra += mu
+        extra += inlier
         if spec.recenter_outliers:
-            outlier = outlier - mu
-        values[j] = np.where(is_out, outlier, inlier)
-        truth[j] = is_out
+            extra -= mu
+        is_out = truth[r0 : r0 + n]
+        np.less(u, spec.outlier_rate, out=is_out)
+        np.copyto(inlier, extra, where=is_out)
     return SimData(spec, values, truth, mu, sd_in, sd_out)
 
 
 def write_matrix_csv(mat: np.ndarray, path, t_offset: int = 0) -> None:
     """Write a (series, timestep) matrix as load_matrix_csv reads it: a header
     row t<t_offset>, t<t_offset + 1>, ..., then one row per series with each
-    cell in %.17g (0 and 1 for bools); LF line ends."""
+    cell in %.17g (0 and 1 for bools); LF line ends.
+
+    A bool matrix is written as those 0/1 bytes built from the array, a block
+    of rows of about 2**14 cells at a time, rather than formatted cell by
+    cell."""
     header = ",".join(f"t{t_offset + i}" for i in range(mat.shape[1]))
-    np.savetxt(path, mat, fmt="%.17g", delimiter=",", header=header, comments="")
+    if mat.dtype != bool:
+        np.savetxt(path, mat, fmt="%.17g", delimiter=",", header=header, comments="")
+        return
+    rows = max(1, _BLOCK_CELLS // mat.shape[1])
+    # each cell is a digit and a separator: a comma, or LF after the last
+    line = np.full((min(rows, mat.shape[0]), 2 * mat.shape[1]), ord(","), dtype=np.uint8)
+    line[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for r0 in range(0, mat.shape[0], rows):
+            block = mat[r0 : r0 + rows]
+            text = line[: block.shape[0]]
+            np.add(block, ord("0"), out=text[:, ::2], dtype=np.uint8)
+            fh.write(text)
 
 
 def write_rows_csv(path: Path, header, rows) -> str:

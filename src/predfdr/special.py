@@ -112,35 +112,47 @@ def _beta_cont_frac(a: float, b: float, x: np.ndarray) -> np.ndarray:
 def _betainc_array(a: float, b: float, x, y=()) -> list:
     """[I_x(a, b), I_y(b, a)] for points in [0, 1] or NaN.  Each interior
     lane runs the continued fraction of its small side, and lanes that need
-    the same shapes share one loop, so a call runs at most two."""
+    the same shapes share one loop, so a call runs at most two.  An empty
+    argument, and a side of a job with no lanes, costs no array work."""
+    outs = [np.asarray(v, dtype=float) for v in (x, y)]
     jobs, lanes = [], {(a, b): [], (b, a): []}
-    for p, q, v in ((a, b, x), (b, a, y)):
-        v = np.asarray(v, dtype=float)
+    for i, (p, q) in enumerate(((a, b), (b, a))):
+        v = outs[i]
+        if not v.size:
+            outs[i] = np.empty_like(v)
+            continue
         interior = (v > 0.0) & (v < 1.0)
         vi = v[interior]
         lg = math.lgamma(p + q) - math.lgamma(p) - math.lgamma(q)
         # front is overwritten by the result, lane by lane
         front = np.exp(lg + p * np.log(vi) + q * np.log1p(-vi))
         direct = vi < (p + 1.0) / (p + q + 2.0)
-        lanes[p, q].append(vi[direct])
-        lanes[q, p].append(1.0 - vi[~direct])
-        jobs.append((p, q, v, interior, front, direct))
-    del vi
+        # the lanes on each side: direct ones take cf(p, q), flipped ones
+        # cf(q, p) through the symmetry identity
+        sides = []
+        for key, flipped, part in (((p, q), False, vi[direct]), ((q, p), True, 1.0 - vi[~direct])):
+            if part.size:
+                lanes[key].append(part)
+                sides.append((key, flipped))
+        jobs.append((i, interior, front, direct, sides))
+        del vi, part
     runs = {}
-    for key in list(lanes):
+    for key in [k for k, parts in lanes.items() if parts]:
         sizes = [part.size for part in lanes[key]]
         # the parts go as one temporary, so they are freed before the loop runs
-        cf = _beta_cont_frac(*key, np.concatenate(lanes.pop(key))) if any(sizes) else np.empty(0)
+        cf = _beta_cont_frac(*key, np.concatenate(lanes.pop(key)))
         runs[key] = iter([cf[end - n : end] for end, n in zip(accumulate(sizes), sizes)])
-    outs = []
-    for p, q, v, interior, front, direct in jobs:
-        front[direct] = next(runs[p, q]) * front[direct] / p
-        front[~direct] = 1.0 - next(runs[q, p]) * front[~direct] / q
+    for i, interior, front, direct, sides in jobs:
+        for key, flipped in sides:
+            sel = ~direct if flipped else direct
+            r = next(runs[key]) * front[sel] / key[0]
+            front[sel] = 1.0 - r if flipped else r
+        v = outs[i]
         out = np.full_like(v, np.nan)  # NaN lanes stay NaN
         out[v <= 0.0] = 0.0
         out[v >= 1.0] = 1.0
         out[interior] = front
-        outs.append(out)
+        outs[i] = out
     return outs
 
 

@@ -1,12 +1,15 @@
 """Synthetic panel generator: determinism, signal shapes, contamination, IO."""
+import io
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from predfdr import simgen
 from predfdr.simgen import (
     SimData,
     SimSpec,
@@ -15,6 +18,7 @@ from predfdr.simgen import (
     load_matrix_csv,
     load_sim,
     save_sim,
+    write_matrix_csv,
 )
 
 
@@ -82,6 +86,64 @@ def test_series_prefix_stable_under_m():
     b = gen_data(small_spec(m=8))
     assert np.array_equal(a.values, b.values[:3])
     assert np.array_equal(a.truth, b.truth[:3])
+
+
+def per_series_normal_draws(spec):
+    """The generator as one rng.normal(mu, sd) loop per series: uniforms,
+    then inlier normals, then extra normals."""
+    mu, sd_in, sd_out = gen_signal(spec)
+    values = np.empty((spec.m, spec.t_len))
+    truth = np.empty((spec.m, spec.t_len), dtype=bool)
+    for j, stream in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.m)):
+        rng = np.random.default_rng(stream)
+        is_out = rng.random(spec.t_len) < spec.outlier_rate
+        inlier = rng.normal(mu, sd_in)
+        outlier = inlier + rng.normal(mu, sd_out)
+        if spec.recenter_outliers:
+            outlier = outlier - mu
+        values[j] = np.where(is_out, outlier, inlier)
+        truth[j] = is_out
+    return values, truth
+
+
+@pytest.mark.parametrize(
+    "block_cells",
+    [1, 3 * 80, 10**6],
+    ids=["one-row", "partial-last-block", "more-rows-than-m"],
+)
+@pytest.mark.parametrize(
+    "kw",
+    [{}, {"recenter_outliers": True, "outlier_rate": 0.3}, {"outlier_rate": 0.0}],
+    ids=["default", "recentered", "no-outliers"],
+)
+def test_gen_data_matches_per_series_normal_draws(monkeypatch, block_cells, kw):
+    # 20 series of 80 steps: blocks of 1 row, of 3 rows (the last has 2), or
+    # one block of every row
+    monkeypatch.setattr(simgen, "_BLOCK_CELLS", block_cells)
+    spec = small_spec(**kw)
+    data = gen_data(spec)
+    values, truth = per_series_normal_draws(spec)
+    assert data.values.tobytes() == values.tobytes()
+    assert np.array_equal(data.truth, truth)
+    for got, want in zip((data.mu, data.sd_inlier, data.sd_outlier), gen_signal(spec)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_gen_data_working_set_is_bounded():
+    # beside the panel (8 + 1 bytes a cell), the generator holds two block
+    # buffers of _BLOCK_CELLS doubles and one block of spawned streams (81
+    # series here): about 0.33 MB against a bound of 0.52 MB.  A whole-panel
+    # version holds two more panel-sized arrays (14 MB), and spawning every
+    # stream up front about 400 bytes a series (1.6 MB)
+    spec = SimSpec(m=4000, t_len=200, lag=10)
+    gen_data(small_spec())  # numpy's first-call allocations are not the generator's
+    tracemalloc.start()
+    try:
+        gen_data(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 9 * spec.m * spec.t_len < 4 * 8 * simgen._BLOCK_CELLS
 
 
 def test_null_panel_has_no_outliers():
@@ -157,6 +219,28 @@ def test_save_sim_exact_bytes(tmp_path):
         )
     with open(paths["truth"], "rb") as fh:
         assert fh.read() == b"t0,t1,t2\n1,0,0\n0,0,1\n"
+
+
+@pytest.mark.parametrize(
+    "shape, block_cells",
+    [
+        ((1, 9), 15),
+        ((9, 1), 15),
+        ((7, 5), 15),
+        ((2 * (simgen._BLOCK_CELLS // 100) + 1, 100), simgen._BLOCK_CELLS),
+    ],
+    ids=["one-row", "one-column", "partial-last-block", "default-blocks"],
+)
+def test_bool_matrix_bytes_match_savetxt(tmp_path, monkeypatch, shape, block_cells):
+    # the bool writer builds 0/1 rows in blocks of block_cells // columns rows:
+    # 3 rows a block for 5 columns; at the default, two full blocks and one row
+    monkeypatch.setattr(simgen, "_BLOCK_CELLS", block_cells)
+    mat = np.random.default_rng(5).random(shape) < 0.3
+    write_matrix_csv(mat, tmp_path / "truth.csv", t_offset=4)
+    want = io.BytesIO()
+    header = ",".join(f"t{4 + i}" for i in range(shape[1]))
+    np.savetxt(want, mat, fmt="%.17g", delimiter=",", header=header, comments="")
+    assert (tmp_path / "truth.csv").read_bytes() == want.getvalue()
 
 
 @pytest.mark.parametrize(

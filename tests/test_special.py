@@ -289,6 +289,26 @@ def test_t_cdf_runs_one_continued_fraction_per_shape_pair(monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
+def test_empty_sides_run_no_continued_fraction(monkeypatch):
+    # no tail lanes, and every centre lane on the direct side: one loop,
+    # and an empty argument gives an empty result of its shape
+    calls = []
+    cont_frac = kernel._beta_cont_frac
+
+    def counted(a, b, v):
+        calls.append((a, b))
+        return cont_frac(a, b, v)
+
+    monkeypatch.setattr(kernel, "_beta_cont_frac", counted)
+    x = np.array([0.3, -0.2, 1.0])
+    assert student_t_cdf(x, 30.02) == pytest.approx(stats.t.cdf(x, 30.02), abs=1e-14)
+    assert calls == [(0.5, 15.01)]
+    calls.clear()
+    assert student_t_cdf(np.array([]), 30.02).shape == (0,)
+    assert betainc(2.0, 3.0, np.empty((0, 3))).shape == (0, 3)
+    assert calls == []
+
+
 def test_t_cdf_scalar_and_array_agree():
     xs = np.array([-1.2, 0.0, 2.5])
     arr = student_t_cdf(xs, 7.0, loc=0.5, scale=1.5)
