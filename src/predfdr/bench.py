@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .bfdr import BfdrConfig, ScoreBatch, gbfdr_looped, gbfdr_vectorized
+from .bfdr import BfdrConfig, ScoreBatch, _grid_size, gbfdr_looped, gbfdr_vectorized
 from .simgen import write_rows_csv
 
 __all__ = ["BenchSpec", "BenchRun", "BenchReport", "run_bench", "reference_spec"]
@@ -37,9 +37,7 @@ class BenchSpec:
     def __post_init__(self) -> None:
         if self.replications < 1 or self.m < 1 or self.warmup < 0:
             raise ValueError("BenchSpec requires positive replications and m")
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
-        if any(k < 1 for k in self.k_values):
-            raise ValueError("k values must be >= 1")
+        object.__setattr__(self, "k_values", tuple(_grid_size(k) for k in self.k_values))
 
 
 def reference_spec(seed: int = 0) -> BenchSpec:

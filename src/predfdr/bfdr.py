@@ -125,6 +125,20 @@ class ScoreBatch:
         return f"ScoreBatch(m={self.scores.size})"
 
 
+def _grid_size(k) -> int:
+    """The grid size k as an int; anything but an integer >= 1 (a float, a
+    string or a bool included) is a ValueError naming k, never truncated."""
+    try:
+        size = operator.index(k)
+    except TypeError:
+        size = None
+    if size is None or isinstance(k, bool):
+        raise ValueError(f"the grid size must be an integer k, got k={k!r}")
+    if size < 1:
+        raise ValueError(f"k must be >= 1, got k={size!r}")
+    return size
+
+
 @dataclass(frozen=True)
 class BfdrConfig:
     """Selector settings: target level q, criterion exponent a, grid size k."""
@@ -139,13 +153,7 @@ class BfdrConfig:
             raise ValueError(f"BfdrConfig requires 0 < q < 1, got q={self.q!r}")
         if self.a < 0.0 or not math.isfinite(self.a):
             raise ValueError("BfdrConfig requires a >= 0")
-        try:
-            k = operator.index(self.k)
-        except TypeError:
-            raise ValueError(f"BfdrConfig requires an integer k, got k={self.k!r}") from None
-        if k < 1:
-            raise ValueError("BfdrConfig requires k >= 1")
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", _grid_size(self.k))
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {', '.join(ALGORITHMS)}")
 
@@ -180,8 +188,7 @@ def classic_bfdr(batch: ScoreBatch, q: float, k: int) -> ThresholdResult:
     """
     if not 0.0 < q < 1.0:
         raise ValueError("classic_bfdr requires 0 < q < 1")
-    if k < 1:
-        raise ValueError("classic_bfdr requires k >= 1")
+    k = _grid_size(k)
     s = batch.scores
     for l in range(k, -1, -1):
         eta = l / k
@@ -319,7 +326,8 @@ def mc_fdr_inverse(
         raise ValueError("rates must lie in [0, 1]")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    for name, value in (("k", k), ("draws", draws), ("chunk", chunk)):
+    k = _grid_size(k)
+    for name, value in (("draws", draws), ("chunk", chunk)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
     s = 1.0 - r

@@ -338,6 +338,8 @@ def main(argv=None) -> int:
             config = _replayed_config(parser, args, argv)
         else:
             config = _config_from_args(args)
+        if config.get("seed", 0) < 0:
+            raise ValueError(f"--seed {config['seed']}: the seed must be a non-negative integer")
         return _RUNNERS[args.subcommand](config)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Tuple
@@ -40,6 +41,17 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("m", "t_len", "lag", "seed"):
+            value = getattr(self, name)
+            try:
+                number = operator.index(value)
+            except TypeError:
+                number = None
+            if number is None or isinstance(value, bool):
+                raise ValueError(f"SimSpec requires an integer {name}, got {name}={value!r}")
+            object.__setattr__(self, name, number)
+        if self.seed < 0:
+            raise ValueError(f"SimSpec requires seed >= 0, got seed={self.seed!r}")
         if self.m < 1 or self.t_len < 2:
             raise ValueError("SimSpec requires m >= 1 and t_len >= 2")
         if not 0 < self.lag < self.t_len:
@@ -97,19 +109,25 @@ def gen_data(spec: SimSpec) -> SimData:
     its uniform is below ``outlier_rate``), t_len standard normals for the
     inlier draw, and t_len standard normals for the extra outlier component.
 
-    numpy's ``normal(mu, sd)`` is ``mu + sd * standard_normal``, so the
-    normals are drawn straight into the rows of ``values`` and a block
-    buffer, and scaled and shifted in place once per block of about 2**14
-    cells; every value is bit for bit what a per-series ``normal(mu, sd)``
-    gives, and the blocks bound the working set beside the panel.  What is
-    left of the cost is seeding: spawning one SeedSequence and Generator per
-    series.
+    The streams are those of ``SeedSequence(seed).spawn(m)`` and one
+    ``default_rng`` per child, but no SeedSequence or Generator is built per
+    series: the children's PCG64 seeds are hashed for a block of series at a
+    time (``_spawned_states``) and set in turn as the state of one reused
+    PCG64, so every draw is unchanged.  numpy's ``normal(mu, sd)`` is
+    ``mu + sd * standard_normal``, so the normals are drawn straight into the
+    rows of ``values`` and a block buffer, and scaled and shifted in place
+    once per block of about 2**14 cells; every value is bit for bit what a
+    per-series ``normal(mu, sd)`` gives, and the blocks bound the working set
+    beside the panel.
     """
     mu, sd_in, sd_out = gen_signal(spec)
     m, t_len = spec.m, spec.t_len
     values = np.empty((m, t_len))
     truth = np.empty((m, t_len), dtype=bool)
     seq = np.random.SeedSequence(spec.seed)
+    # seeded here only to skip drawing OS entropy; its state is set per series
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
     rows = min(m, max(1, _BLOCK_CELLS // t_len))
     u_buf = np.empty((rows, t_len))
     extra_buf = np.empty_like(u_buf)
@@ -117,9 +135,8 @@ def gen_data(spec: SimSpec) -> SimData:
         inlier = values[r0 : r0 + rows]
         n = inlier.shape[0]
         u, extra = u_buf[:n], extra_buf[:n]
-        # spawning a block at a time hands out the same children in order
-        for j, stream in enumerate(seq.spawn(n)):
-            rng = np.random.default_rng(stream)
+        for j, words in enumerate(_spawned_states(seq, r0, n).tolist()):
+            bit_gen.state = _pcg64_state(*words)
             rng.random(out=u[j])
             rng.standard_normal(out=inlier[j])
             rng.standard_normal(out=extra[j])
@@ -135,6 +152,73 @@ def gen_data(spec: SimSpec) -> SimData:
         np.less(u, spec.outlier_rate, out=is_out)
         np.copyto(inlier, extra, where=is_out)
     return SimData(spec, values, truth, mu, sd_in, sd_out)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the constants
+# of its entropy mixing (A), of generate_state (B) and of its mix function
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_steps(init: int, mult: int, first: int, count: int):
+    """The (xor, multiply) uint32 constants of ``count`` consecutive steps of
+    a SeedSequence hash from step ``first``, as (count, 1) columns.
+
+    Step s xors with init * mult**s and multiplies by init * mult**(s + 1),
+    mod 2**32: the constants depend on the step count, never on the data.
+    """
+    consts = [init * pow(mult, s, 2**32) % 2**32 for s in range(first, first + count + 1)]
+    col = np.array(consts, dtype=np.uint32)[:, None]
+    return col[:-1], col[1:]
+
+
+def _hash(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = value ^ xor
+    value *= mult
+    value ^= value >> 16
+    return value
+
+
+_GENERATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 0, 8)
+
+
+def _spawned_states(seq: np.random.SeedSequence, start: int, n: int) -> np.ndarray:
+    """``seq.spawn(start + n)[start + j].generate_state(4, np.uint64)`` for
+    j < n, as an (n, 4) uint64 array, for a ``seq`` that has no spawn key.
+
+    A child's entropy is its parent's seed words, zero-padded to the pool
+    size of 4, and then its index.  Mixing hashes a missing word as a zero,
+    so the pool after the seed words is ``seq.pool`` itself; the index is then
+    mixed into each of the 4 pool words, and generate_state hashes the pool
+    cycled to 8 uint32 words, read in pairs as little-endian uint64.  Every
+    step is one uint32 operation over the block's children.
+    """
+    # 4 steps fill the pool, 12 mix it, and 4 mix in each seed word beyond it
+    beyond = max(0, (seq.entropy.bit_length() + 31) // 32 - 4)
+    xor, mult = _hash_steps(_INIT_A, _MULT_A, 16 + 4 * beyond, 4)
+    index = _hash(np.arange(start, start + n, dtype=np.uint32), xor, mult)
+    pool = seq.pool[:, None] * np.uint32(_MIX_MULT_L) - index * np.uint32(_MIX_MULT_R)
+    pool ^= pool >> 16
+    state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_GENERATE_STEPS).astype(np.uint64)
+    return (state[1::2] << 32 | state[0::2]).T
+
+
+def _pcg64_state(seed_hi: int, seed_lo: int, seq_hi: int, seq_lo: int) -> dict:
+    """``PCG64.state`` after seeding from the 4 uint64 words of
+    generate_state, as PCG64 seeds itself: the 128-bit initstate is words 0-1
+    and initseq words 2-3, high word first."""
+    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+    state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def write_matrix_csv(mat: np.ndarray, path, t_offset: int = 0) -> None:

@@ -27,6 +27,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         BenchSpec(k_values=(0,))
     assert BenchSpec(k_values=[10, 20]).k_values == (10, 20)
+    # a fractional k is not truncated to an integer grid
+    with pytest.raises(ValueError, match="integer k, got k=2.5"):
+        BenchSpec(k_values=(10, 2.5))
 
 
 def test_reference_spec_frozen():

@@ -1,4 +1,6 @@
 """Threshold selector behaviour: frozen cases, route equivalence, MC oracle."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,23 @@ def test_bfdr_config_accepts_numpy_integer_k():
     cfg = BfdrConfig(q=0.3, k=np.int64(10))
     assert cfg.k == 10 and type(cfg.k) is int
     assert as_tuple(gbfdr(ScoreBatch([0.1, 0.3, 0.5, 0.9]), cfg)) == (0.4, 4, True)
+
+
+@pytest.mark.parametrize("k", [2.5, 10.0, "10", True])
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda k: BfdrConfig(q=0.3, k=k),
+        lambda k: classic_bfdr(ScoreBatch([0.1, 0.3, 0.5, 0.9]), 0.3, k),
+        lambda k: mc_fdr_inverse([0.2, 0.7], 0.2, draws=10, k=k),
+    ],
+    ids=["BfdrConfig", "classic_bfdr", "mc_fdr_inverse"],
+)
+def test_every_grid_size_is_an_integer(use, k):
+    # k = 2.5 used to fail in range() in classic_bfdr and with an IndexError
+    # in mc_fdr_inverse; a bool is not a grid size either
+    with pytest.raises(ValueError, match=f"integer k, got k={re.escape(repr(k))}$"):
+        use(k)
 
 
 def test_score_batch_keeps_its_own_read_only_scores():

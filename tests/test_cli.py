@@ -379,6 +379,35 @@ def test_replay_rejects_bad_config(tmp_path, capsys, edit, named):
     assert not (tmp_path / "again").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["simulate", "bench", "validate"])
+def test_negative_seed_names_the_option(tmp_path, capsys, subcommand):
+    # numpy's own error, "expected non-negative integer", named no option
+    out = [] if subcommand == "validate" else ["--out", str(tmp_path / "out")]
+    assert main([subcommand, *out, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed -1: the seed must be a non-negative integer\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--m", "3", "--t", "20", "--lag", "2"],
+        ["bench", "--replications", "1", "--m", "5", "--k", "10"],
+    ],
+    ids=["simulate", "bench"],
+)
+def test_replayed_negative_seed_names_the_option(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "first")]) == 0
+    manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+    manifest["config"].update(out=str(tmp_path / "again"), seed=-1)
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main([argv[0], "--from-manifest", str(replay)]) == 1
+    assert capsys.readouterr().err == "error: --seed -1: the seed must be a non-negative integer\n"
+    assert not (tmp_path / "again").exists()
+
+
 # -------------------------------------------------------------------- bench
 
 

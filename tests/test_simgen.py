@@ -47,6 +47,27 @@ def test_spec_validation():
     assert SimSpec(outlier_rate=0.0).outlier_rate == 0.0
 
 
+@pytest.mark.parametrize(
+    "kw, named",
+    [
+        ({"m": 20.0}, "integer m, got m=20.0"),
+        ({"t_len": "80"}, "integer t_len, got t_len='80'"),
+        ({"lag": 1.5}, "integer lag, got lag=1.5"),
+        ({"seed": True}, "integer seed, got seed=True"),
+        ({"seed": 3.0}, "integer seed, got seed=3.0"),
+        ({"seed": -1}, "seed >= 0, got seed=-1"),
+    ],
+)
+def test_spec_rejects_non_integer_sizes_and_bad_seeds(kw, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        small_spec(**kw)
+
+
+def test_spec_keeps_numpy_integers_as_int():
+    spec = small_spec(m=np.int64(20), seed=np.uint32(42))
+    assert spec == small_spec() and type(spec.m) is int and type(spec.seed) is int
+
+
 def test_spec_dict_roundtrip():
     spec = small_spec(outlier_rate=0.1, recenter_outliers=True)
     again = SimSpec(**json.loads(json.dumps(asdict(spec))))
@@ -113,8 +134,13 @@ def per_series_normal_draws(spec):
 )
 @pytest.mark.parametrize(
     "kw",
-    [{}, {"recenter_outliers": True, "outlier_rate": 0.3}, {"outlier_rate": 0.0}],
-    ids=["default", "recentered", "no-outliers"],
+    [
+        {},
+        {"recenter_outliers": True, "outlier_rate": 0.3},
+        {"outlier_rate": 0.0},
+        {"seed": 2**130 + 7},
+    ],
+    ids=["default", "recentered", "no-outliers", "multi-word-seed"],
 )
 def test_gen_data_matches_per_series_normal_draws(monkeypatch, block_cells, kw):
     # 20 series of 80 steps: blocks of 1 row, of 3 rows (the last has 2), or
@@ -129,12 +155,37 @@ def test_gen_data_matches_per_series_normal_draws(monkeypatch, block_cells, kw):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**130 + 7])
+def test_spawned_states_match_seed_sequence_children(seed):
+    # 4 seed words or fewer are zero-padded to the pool; 2**130 + 7 has a
+    # fifth word, mixed in after the pool like the child index
+    children = np.random.SeedSequence(seed).spawn(30)
+    want = np.array([child.generate_state(4, np.uint64) for child in children])
+    seq = np.random.SeedSequence(seed)
+    got = np.concatenate([simgen._spawned_states(seq, 0, 11), simgen._spawned_states(seq, 11, 19)])
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 2**70 + 3])
+def test_reused_pcg64_state_matches_default_rng(seed):
+    children = np.random.SeedSequence(seed).spawn(8)
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    states = simgen._spawned_states(np.random.SeedSequence(seed), 5, 3).tolist()
+    for child, words in zip(children[5:], states):
+        rng.integers(2**32, dtype=np.uint32)  # leaves half a draw buffered
+        bit_gen.state = simgen._pcg64_state(*words)
+        want = np.random.default_rng(child)
+        assert bit_gen.state == want.bit_generator.state
+        assert rng.random(5).tobytes() == want.random(5).tobytes()
+
+
 def test_gen_data_working_set_is_bounded():
     # beside the panel (8 + 1 bytes a cell), the generator holds two block
-    # buffers of _BLOCK_CELLS doubles and one block of spawned streams (81
-    # series here): about 0.33 MB against a bound of 0.52 MB.  A whole-panel
-    # version holds two more panel-sized arrays (14 MB), and spawning every
-    # stream up front about 400 bytes a series (1.6 MB)
+    # buffers of _BLOCK_CELLS doubles and the seeds of one block of series
+    # (81 series here): about 0.34 MB against a bound of 0.52 MB.  A
+    # whole-panel version holds two more panel-sized arrays (14 MB)
     spec = SimSpec(m=4000, t_len=200, lag=10)
     gen_data(small_spec())  # numpy's first-call allocations are not the generator's
     tracemalloc.start()
