@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .bfdr import BfdrConfig, ScoreBatch, _grid_size, gbfdr_looped, gbfdr_vectorized
+from .bfdr import BfdrConfig, ScoreBatch, _integer, gbfdr_looped, gbfdr_vectorized
 from .simgen import write_rows_csv
 
 __all__ = ["BenchSpec", "BenchRun", "BenchReport", "run_bench", "reference_spec"]
@@ -35,9 +35,9 @@ class BenchSpec:
     warmup: int = 5
 
     def __post_init__(self) -> None:
-        if self.replications < 1 or self.m < 1 or self.warmup < 0:
-            raise ValueError("BenchSpec requires positive replications and m")
-        object.__setattr__(self, "k_values", tuple(_grid_size(k) for k in self.k_values))
+        for name, minimum in (("replications", 1), ("m", 1), ("seed", 0), ("warmup", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
+        object.__setattr__(self, "k_values", tuple(_integer(k, "k") for k in self.k_values))
 
 
 def reference_spec(seed: int = 0) -> BenchSpec:

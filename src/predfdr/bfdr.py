@@ -125,18 +125,29 @@ class ScoreBatch:
         return f"ScoreBatch(m={self.scores.size})"
 
 
-def _grid_size(k) -> int:
-    """The grid size k as an int; anything but an integer >= 1 (a float, a
-    string or a bool included) is a ValueError naming k, never truncated."""
+def _integer(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int >= ``minimum``, the rule of every count, size and
+    seed: anything else (a float, a string or a bool too) is a ValueError
+    naming the value, never truncated; numpy integers are kept as int."""
     try:
-        size = operator.index(k)
+        number = operator.index(value)
     except TypeError:
-        size = None
-    if size is None or isinstance(k, bool):
-        raise ValueError(f"the grid size must be an integer k, got k={k!r}")
-    if size < 1:
-        raise ValueError(f"k must be >= 1, got k={size!r}")
-    return size
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ValueError(f"expected an integer {name}, got {name}={value!r}")
+    if number < minimum:
+        raise ValueError(
+            f"{name} must be >= {minimum}: expected {name} >= {minimum}, got {name}={number!r}"
+        )
+    return number
+
+
+def _level(value, name: str):
+    """``value`` itself when it lies in (0, 1), else a ValueError naming it
+    (NaN included): the one rule for levels and thresholds."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {name}={value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -149,11 +160,10 @@ class BfdrConfig:
     algorithm: Algorithm = "changepoint"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.q < 1.0:
-            raise ValueError(f"BfdrConfig requires 0 < q < 1, got q={self.q!r}")
+        _level(self.q, "q")
         if self.a < 0.0 or not math.isfinite(self.a):
             raise ValueError("BfdrConfig requires a >= 0")
-        object.__setattr__(self, "k", _grid_size(self.k))
+        object.__setattr__(self, "k", _integer(self.k, "k"))
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {', '.join(ALGORITHMS)}")
 
@@ -186,9 +196,8 @@ def classic_bfdr(batch: ScoreBatch, q: float, k: int) -> ThresholdResult:
     Kept as an independent mean-based implementation; agreement with the
     generalised selector at a = 1 is a tested identity, not shared code.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError("classic_bfdr requires 0 < q < 1")
-    k = _grid_size(k)
+    _level(q, "q")
+    k = _integer(k, "k")
     s = batch.scores
     for l in range(k, -1, -1):
         eta = l / k
@@ -221,9 +230,7 @@ def gbfdr_looped(batch: ScoreBatch, cfg: BfdrConfig) -> ThresholdResult:
     return _INFEASIBLE
 
 
-def gbfdr_vectorized(
-    batch: ScoreBatch, cfg: BfdrConfig, max_bytes: int = DEFAULT_MAX_BYTES
-) -> ThresholdResult:
+def gbfdr_vectorized(batch: ScoreBatch, cfg: BfdrConfig) -> ThresholdResult:
     """Vectorised selector over the full score-by-grid matrix.
 
     Replicates the scores against every grid value, masks each column by
@@ -235,10 +242,8 @@ def gbfdr_vectorized(
     m = s.size
     k = cfg.k
     need = (k + 1) * m * (8 + 1)
-    if need > max_bytes:
-        raise CapacityError(
-            f"grid matrix of {need} bytes exceeds budget of {max_bytes} bytes"
-        )
+    if need > DEFAULT_MAX_BYTES:
+        raise CapacityError(f"grid matrix of {need} bytes exceeds {DEFAULT_MAX_BYTES} bytes")
     grid = np.arange(k + 1, dtype=float) / k
     w = _signed_power(s, cfg.q, cfg.a)
     # (k+1, m) layout: row l holds the masked terms for eta = l / k
@@ -308,9 +313,11 @@ class McFdrEstimate:
     draws: int
 
 
-def mc_fdr_inverse(
-    rates, q: float, draws: int, k: int, seed: int = 0, chunk: int = 2000
-) -> McFdrEstimate:
+# draws per block of the Monte Carlo oracle, which bounds its temporaries
+_MC_CHUNK = 2000
+
+
+def mc_fdr_inverse(rates, q: float, draws: int, k: int, seed: int = 0) -> McFdrEstimate:
     """Monte Carlo oracle for the expected realized-FDR threshold.
 
     Each draw samples truth indicators gamma_j ~ Bernoulli(rates_j), ranks
@@ -324,24 +331,21 @@ def mc_fdr_inverse(
         raise ValueError("rates must be a nonempty 1-d sequence")
     if np.any((r < 0.0) | (r > 1.0)):
         raise ValueError("rates must lie in [0, 1]")
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
-    k = _grid_size(k)
-    for name, value in (("draws", draws), ("chunk", chunk)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value!r}")
+    _level(q, "q")
+    k = _integer(k, "k")
+    draws = _integer(draws, "draws")
     s = 1.0 - r
     grid = np.arange(k + 1, dtype=float) / k
     sel = s[:, None] <= grid[None, :]  # (m, k+1)
     counts = sel.sum(axis=0).astype(float)  # per grid value
     nonempty = counts > 0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     # stats are computed once over all draws so the result is independent
     # of the chunk size used to bound memory
     kept: list[np.ndarray] = []
     selF = sel.astype(float)
-    for start in range(0, draws, chunk):
-        nd = min(chunk, draws - start)
+    for start in range(0, draws, _MC_CHUNK):
+        nd = min(_MC_CHUNK, draws - start)
         gamma = rng.random((nd, r.size)) < r[None, :]
         false = (~gamma).astype(float) @ selF  # (nd, k+1)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -368,20 +372,21 @@ class MomentDerivativeCheck(NamedTuple):
 
 
 def moment_derivative_check(
-    batch: ScoreBatch, q: float, a: float, eta: float, step: float = 1e-6
+    batch: ScoreBatch, q: float, a: float, eta: float
 ) -> MomentDerivativeCheck:
     """Criterion sum and the finite-difference derivative of the companion
     power-sum moment.
 
     Returns the pair (criterion, derivative) where criterion is
     sum sign(s - q)|s - q|^a over {s <= eta} and derivative is the central
-    difference in q of sum |s - q|^(a+1) over the same set.  Away from kinks
-    the ratio derivative / criterion equals -(a + 1).  The step is shrunk when
-    q sits within one step of a selected score; q exactly at a selected score
-    is rejected.
+    difference in q, with step 1e-6, of sum |s - q|^(a+1) over the same set.
+    Away from kinks the ratio derivative / criterion equals -(a + 1).  The
+    step is shrunk when q sits within one step of a selected score; q
+    exactly at a selected score is rejected.
     """
     s = batch.scores
     sel = s[s <= eta]
+    step = 1e-6
     if sel.size:
         dmin = float(np.min(np.abs(sel - q)))
         if dmin == 0.0:

@@ -24,6 +24,14 @@ __all__ = [
 ]
 
 
+def _cost(value, name: str):
+    """``value`` itself when it is >= 0, else a ValueError naming it (NaN
+    included): the one rule for the loss costs."""
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be >= 0, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class LossParams:
     """Costs: c1 per missed outlier (on top of the foregone reward), c2 per flag."""
@@ -32,8 +40,8 @@ class LossParams:
     c2: float
 
     def __post_init__(self) -> None:
-        if not (self.c1 >= 0.0 and self.c2 >= 0.0):  # NaN fails too
-            raise ValueError("LossParams requires c1 >= 0 and c2 >= 0")
+        _cost(self.c1, "c1")
+        _cost(self.c2, "c2")
 
 
 def _as_bool(flags, name: str) -> np.ndarray:
@@ -77,9 +85,7 @@ def bayes_rule(batch: ScoreBatch, params: LossParams) -> np.ndarray:
 
 def c_algebra(eta: float, c1: float) -> float:
     """Flag cost c2 that makes the optimal rule's cutoff equal eta: (1+c1)*eta."""
-    if not c1 >= 0.0:  # NaN fails too
-        raise ValueError("c1 must be nonnegative")
-    return (1.0 + c1) * eta
+    return (1.0 + _cost(c1, "c1")) * eta
 
 
 def c_algebra_inv(c2: float, eta: float) -> float:
@@ -115,8 +121,7 @@ def threshold_flags(rates, eta, c1: float = 0.0, orientation: str = "null_score"
     infeasible and flags nothing, since r > NaN is False.  The miss cost c1
     must be a number >= 0.
     """
-    if not c1 >= 0.0:  # NaN fails too
-        raise ValueError(f"c1 must be >= 0, not {c1!r}")
+    _cost(c1, "c1")
     eta_r = orient(np.asarray(eta, dtype=float), orientation)
     return np.asarray(rates, dtype=float) > eta_r / (1.0 + c1)
 

@@ -14,9 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import decision
-from .bfdr import BfdrConfig, ScoreBatch, gbfdr
-from .decision import orient, threshold_flags
+from .bfdr import BfdrConfig, ScoreBatch, _integer, _level, gbfdr
+from .decision import _cost, orient, threshold_flags
 from .predictive import NigParams, _window_z, _z_scores
 from .simgen import as_truth, write_rows_csv
 
@@ -54,13 +53,10 @@ class DetectConfig:
     orientation: str = "null_score"
 
     def __post_init__(self) -> None:
-        # raises on a bad c1 or orientation; called through the module so that
-        # validation is not mistaken for detect's own use of the flag rule
-        decision.threshold_flags(0.0, 0.0, self.c1, self.orientation)
+        _cost(self.c1, "c1")
+        orient(0.0, self.orientation)  # raises on an unknown orientation
         if self.baseline_etas is not None:
-            etas = tuple(float(e) for e in self.baseline_etas)
-            if any(not 0.0 < e < 1.0 for e in etas):
-                raise ValueError("baseline etas must lie in (0, 1)")
+            etas = tuple(_level(float(e), "baseline eta") for e in self.baseline_etas)
             object.__setattr__(self, "baseline_etas", etas)
 
     def levels(self, q_values: Optional[Sequence[float]] = None) -> List[BfdrConfig]:
@@ -98,7 +94,8 @@ def lagged_scores(
     if not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite")
     m, t_len = vals.shape
-    if not 0 < lag < t_len:
+    lag = _integer(lag, "lag")
+    if lag >= t_len:
         raise ValueError("lag must satisfy 0 < lag < t_len")
     out = np.empty((m, t_len - lag))
     step = max(1, _CDF_CELLS // m)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
+
+from .bfdr import _integer
 
 __all__ = ["SimSpec", "SimData", "gen_signal", "gen_data", "save_sim", "load_sim"]
 
@@ -41,20 +42,9 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("m", "t_len", "lag", "seed"):
-            value = getattr(self, name)
-            try:
-                number = operator.index(value)
-            except TypeError:
-                number = None
-            if number is None or isinstance(value, bool):
-                raise ValueError(f"SimSpec requires an integer {name}, got {name}={value!r}")
-            object.__setattr__(self, name, number)
-        if self.seed < 0:
-            raise ValueError(f"SimSpec requires seed >= 0, got seed={self.seed!r}")
-        if self.m < 1 or self.t_len < 2:
-            raise ValueError("SimSpec requires m >= 1 and t_len >= 2")
-        if not 0 < self.lag < self.t_len:
+        for name, minimum in (("m", 1), ("t_len", 2), ("lag", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
+        if self.lag >= self.t_len:
             raise ValueError("SimSpec requires 0 < lag < t_len")
         if not 0.0 <= self.outlier_rate < 1.0:
             raise ValueError("SimSpec requires outlier_rate in [0, 1)")

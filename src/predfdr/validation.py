@@ -15,6 +15,7 @@ import numpy as np
 from .bfdr import (
     BfdrConfig,
     ScoreBatch,
+    _integer,
     classic_bfdr,
     gbfdr_changepoint,
     gbfdr_looped,
@@ -189,7 +190,7 @@ def _check_predictive_mc(rng, draws: int) -> CheckResult:
 
 
 def run_checks(full: bool = False, seed: int = 0) -> List[CheckResult]:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     results = [
         _check_selector_equivalence(rng, 300 if full else 100),
         _check_classic_reduction(rng, 300 if full else 100),

@@ -1,5 +1,6 @@
 """Benchmark harness: bookkeeping, determinism of results, CSV output."""
 import csv
+import re
 
 import pytest
 
@@ -30,6 +31,16 @@ def test_spec_validation():
     # a fractional k is not truncated to an integer grid
     with pytest.raises(ValueError, match="integer k, got k=2.5"):
         BenchSpec(k_values=(10, 2.5))
+    # every count and the seed follow the integer rule: the first three were
+    # accepted, and run_bench died on seed = -1 with numpy's message
+    for kw, named in [
+        ({"replications": 1.5}, "integer replications, got replications=1.5"),
+        ({"m": 2.5}, "integer m, got m=2.5"),
+        ({"warmup": 0.5}, "integer warmup, got warmup=0.5"),
+        ({"seed": -1}, "seed >= 0, got seed=-1"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            run_bench(tiny_spec(**kw))
 
 
 def test_reference_spec_frozen():

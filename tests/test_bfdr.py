@@ -20,6 +20,7 @@ from predfdr.bfdr import (
     mc_fdr_inverse,
     moment_derivative_check,
 )
+from predfdr.pipeline import DetectConfig
 
 
 def as_tuple(res: ThresholdResult):
@@ -86,6 +87,24 @@ def test_every_grid_size_is_an_integer(use, k):
     # in mc_fdr_inverse; a bool is not a grid size either
     with pytest.raises(ValueError, match=f"integer k, got k={re.escape(repr(k))}$"):
         use(k)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, float("nan")])
+@pytest.mark.parametrize(
+    "use, name",
+    [
+        (lambda q: BfdrConfig(q=q), "q"),
+        (lambda q: classic_bfdr(ScoreBatch([0.1, 0.3, 0.5, 0.9]), q, 10), "q"),
+        (lambda q: mc_fdr_inverse([0.2, 0.7], q, draws=10, k=10), "q"),
+        (lambda q: DetectConfig(BfdrConfig(q=0.2), baseline_etas=(0.1, q)), "baseline eta"),
+    ],
+    ids=["BfdrConfig", "classic_bfdr", "mc_fdr_inverse", "DetectConfig"],
+)
+def test_every_level_lies_strictly_between_0_and_1(use, name, q):
+    # each owner used to word its own message, and two did not name the value
+    named = f"{name} must lie in (0, 1), got {name}={q!r}"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        use(q)
 
 
 def test_score_batch_keeps_its_own_read_only_scores():
@@ -319,10 +338,12 @@ def test_dispatch_honours_algorithm():
     assert len(results) == 1
 
 
-def test_vectorized_capacity_guard():
+def test_vectorized_capacity_guard(monkeypatch):
+    # the guard reads the budget at call time, before any array is built
+    monkeypatch.setattr(bfdr, "DEFAULT_MAX_BYTES", 1000)
     batch = ScoreBatch(np.linspace(0.0, 1.0, 100))
     with pytest.raises(CapacityError):
-        gbfdr_vectorized(batch, BfdrConfig(q=0.2, k=1000), max_bytes=1000)
+        gbfdr_vectorized(batch, BfdrConfig(q=0.2, k=1000))
 
 
 def test_threshold_monotone_in_q():
@@ -354,10 +375,12 @@ def test_mc_fdr_certain_nulls():
     assert np.isnan(est.mean)
 
 
-def test_mc_fdr_chunk_invariance():
+def test_mc_fdr_chunk_invariance(monkeypatch):
     rates = np.random.default_rng(5).random(30)
-    a = mc_fdr_inverse(rates, 0.25, draws=400, k=20, seed=9, chunk=7)
-    b = mc_fdr_inverse(rates, 0.25, draws=400, k=20, seed=9, chunk=400)
+    monkeypatch.setattr(bfdr, "_MC_CHUNK", 7)
+    a = mc_fdr_inverse(rates, 0.25, draws=400, k=20, seed=9)
+    monkeypatch.setattr(bfdr, "_MC_CHUNK", 400)
+    b = mc_fdr_inverse(rates, 0.25, draws=400, k=20, seed=9)
     assert (a.mean, a.se, a.feasible_draws) == (b.mean, b.se, b.feasible_draws)
 
 
@@ -381,12 +404,29 @@ def test_mc_fdr_validation():
 
 @pytest.mark.parametrize(
     "kwargs, name",
-    [({"k": 0}, "k"), ({"k": -3}, "k"), ({"draws": 0}, "draws"), ({"chunk": 0}, "chunk")],
+    [({"k": 0}, "k"), ({"k": -3}, "k"), ({"draws": 0}, "draws")],
 )
 def test_mc_fdr_rejects_counts_below_one(kwargs, name):
-    # k = 0 used to divide by zero into a NaN mean; chunk = 0 failed in range()
+    # k = 0 used to divide by zero into a NaN mean
     args = {"rates": [0.2, 0.7], "q": 0.2, "draws": 10, "k": 10, **kwargs}
     with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+        mc_fdr_inverse(**args)
+
+
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        ({"draws": 2.5}, "integer draws, got draws=2.5"),
+        ({"draws": True}, "integer draws, got draws=True"),
+        ({"seed": 1.5}, "integer seed, got seed=1.5"),
+        ({"seed": -1}, "seed >= 0, got seed=-1"),
+    ],
+)
+def test_mc_fdr_draws_and_seed_follow_the_integer_rule(kwargs, named):
+    # draws = 2.5 and seed = 1.5 used to fail with a TypeError, draws = True
+    # ran one draw, and seed = -1 failed with numpy's message
+    args = {"rates": [0.2, 0.7], "q": 0.2, "draws": 10, "k": 10, **kwargs}
+    with pytest.raises(ValueError, match=re.escape(named)):
         mc_fdr_inverse(**args)
 
 
@@ -419,8 +459,6 @@ def test_moment_derivative_kink_rejected():
 
 
 def test_moment_derivative_step_shrinks_near_kink():
-    chk = moment_derivative_check(
-        ScoreBatch([0.2, 0.6]), q=0.2 + 1e-8, a=1.0, eta=1.0, step=1e-6
-    )
+    chk = moment_derivative_check(ScoreBatch([0.2, 0.6]), q=0.2 + 1e-8, a=1.0, eta=1.0)
     assert chk.step == pytest.approx(5e-9)
     assert chk.derivative / chk.criterion == pytest.approx(-2.0, rel=1e-4)

@@ -3,6 +3,7 @@ import collections
 import csv
 import importlib.util
 import itertools
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -138,6 +139,10 @@ def test_lagged_scores_validation():
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
         lagged_scores(bad, DIFFUSE_PRIOR, 2)
+    # a lag of 2.5 used to fail with a TypeError, and True ran as lag 1
+    for lag in (2.5, True):
+        with pytest.raises(ValueError, match=re.escape(f"integer lag, got lag={lag!r}")):
+            lagged_scores(np.zeros((2, 5)), DIFFUSE_PRIOR, lag)
 
 
 def test_custom_prior_changes_scores(panel):
@@ -242,7 +247,7 @@ def test_detect_t_index_offset(panel):
 
 
 def test_detect_config_rejects_bad_miss_cost():
-    # c1 and the orientation are checked by the flag rule itself
+    # c1 is checked by the cost rule the flag rule uses
     for c1 in (-2.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="c1 must be >= 0"):
             DetectConfig(bfdr=BfdrConfig(q=0.2), c1=c1)

@@ -1,4 +1,8 @@
 """The built-in property-check suites must pass end to end."""
+import re
+
+import pytest
+
 from predfdr.validation import run_checks
 
 
@@ -16,3 +20,12 @@ def test_checks_stable_across_seeds():
         assert all(r.passed for r in results), [
             (r.name, r.detail) for r in results if not r.passed
         ]
+
+
+@pytest.mark.parametrize(
+    "seed, named", [(-1, "seed >= 0, got seed=-1"), (1.5, "integer seed, got seed=1.5")]
+)
+def test_checks_reject_a_bad_seed(seed, named):
+    # seed = -1 used to fail with numpy's message
+    with pytest.raises(ValueError, match=re.escape(named)):
+        run_checks(seed=seed)
