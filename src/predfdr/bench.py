@@ -9,13 +9,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .bfdr import BfdrConfig, ScoreBatch, _integer, gbfdr_looped, gbfdr_vectorized
-from .simgen import write_rows_csv
 
 __all__ = ["BenchSpec", "BenchRun", "BenchReport", "run_bench", "reference_spec"]
 
@@ -37,6 +35,7 @@ class BenchSpec:
     def __post_init__(self) -> None:
         for name, minimum in (("replications", 1), ("m", 1), ("seed", 0), ("warmup", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
+        BfdrConfig(q=self.q, a=self.a)  # q and a follow the selector's rules
         object.__setattr__(self, "k_values", tuple(_integer(k, "k") for k in self.k_values))
 
 
@@ -115,22 +114,3 @@ def run_bench(spec: BenchSpec) -> BenchReport:
             report.runs.append(BenchRun("looped", k, rep, t1 - t0, idx))
             report.runs.append(BenchRun("vectorized", k, rep, t2 - t1, idx))
     return report
-
-
-def write_bench_csv(report: BenchReport, out_dir) -> dict:
-    """Write bench.csv (per run) and bench_summary.csv (per method and k);
-    floats are written as repr() writes them."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    runs = ["method", "k", "replication", "seconds", "eta_index"]
-    summary = ["method", "k", "total", "mean", "sd"]
-    return {
-        "bench": write_rows_csv(
-            out / "bench.csv", runs, ([getattr(r, c) for c in runs] for r in report.runs)
-        ),
-        "summary": write_rows_csv(
-            out / "bench_summary.csv",
-            summary,
-            ([row[c] for c in summary] for row in report.summary()),
-        ),
-    }

@@ -162,7 +162,7 @@ class BfdrConfig:
     def __post_init__(self) -> None:
         _level(self.q, "q")
         if self.a < 0.0 or not math.isfinite(self.a):
-            raise ValueError("BfdrConfig requires a >= 0")
+            raise ValueError(f"a must be a finite number >= 0, got a={self.a!r}")
         object.__setattr__(self, "k", _integer(self.k, "k"))
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {', '.join(ALGORITHMS)}")

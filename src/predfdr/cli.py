@@ -7,20 +7,20 @@ Exit codes: 0 success, 1 invalid input, 2 internal property failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .bfdr import BfdrConfig
-from .bench import BenchSpec, reference_spec, run_bench, write_bench_csv
+from .bench import BenchSpec, reference_spec, run_bench
 from .decision import ORIENTATIONS
-from .pipeline import DetectConfig, detect, lagged_scores, write_report
-from .predictive import NigParams
-from .simgen import SimSpec, as_finite, as_truth, gen_data, json_type_error, load_matrix_csv
+from .files import as_finite, as_truth, check_settings, load_matrix_csv, read_json
 # the matrix writer keeps the name perfbench/spans.py hooks
-from .simgen import save_sim, write_matrix_csv as write_scores_csv
+from .files import write_bench_csv, write_json, write_matrix_csv as write_scores_csv, write_report
+from .pipeline import DetectConfig, detect, lagged_scores
+from .predictive import NigParams
+from .simgen import SimSpec, gen_data, save_sim
 from .validation import run_checks
 
 OUT_ENV = "PREDFDR_OUT"
@@ -90,7 +90,7 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict, outputs: dict)
         "config": config,
         "outputs": sorted(outputs),
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def _run_simulate(config: dict) -> int:
@@ -283,7 +283,7 @@ def _replayed_config(
     type that parsing its option gives.
     """
     source = f"--from-manifest {args.from_manifest}"
-    manifest = json.loads(Path(args.from_manifest).read_text())
+    manifest = read_json(args.from_manifest)
     if not (
         isinstance(manifest, dict)
         and "subcommand" in manifest
@@ -303,21 +303,13 @@ def _replayed_config(
         for key, value in manifest["config"].items()
         if key not in _RETIRED_KEYS.get(args.subcommand, ())
     }
-    if set(config) != set(defaults):
-        raise ValueError(
-            f"{source}: missing config keys {sorted(set(defaults) - set(config))}, "
-            f"unknown config keys {sorted(set(config) - set(defaults))}"
-        )
-    for key, default in defaults.items():
-        wrong = json_type_error(config[key], default)
-        if not wrong and key in _TEXT_OPTIONS:
-            # the option's own parser checks the count and integer items
-            try:
-                config[key] = _TEXT_OPTIONS[key](",".join(map(repr, config[key])))
-            except ValueError as exc:
-                wrong = str(exc)
-        if wrong:
-            raise ValueError(f"{source}: config key {key!r}: {wrong}")
+    check_settings(config, defaults, source)
+    for key in sorted(config.keys() & _TEXT_OPTIONS.keys()):
+        # the option's own parser checks the count and integer items
+        try:
+            config[key] = _TEXT_OPTIONS[key](",".join(map(repr, config[key])))
+        except ValueError as exc:
+            raise ValueError(f"{source}: field {key!r}: {exc}") from None
     return config
 
 
@@ -343,7 +335,7 @@ def main(argv=None) -> int:
         return _RUNNERS[args.subcommand](config)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -8,16 +8,14 @@ counts and classification metrics when truth is available.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bfdr import BfdrConfig, ScoreBatch, _integer, _level, gbfdr
 from .decision import _cost, orient, threshold_flags
+from .files import as_truth
 from .predictive import NigParams, _window_z, _z_scores
-from .simgen import as_truth, write_rows_csv
 
 __all__ = [
     "DIFFUSE_PRIOR",
@@ -26,14 +24,11 @@ __all__ = [
     "lagged_scores",
     "detect",
     "confusion_metrics",
-    "write_report",
 ]
 
 # Weak prior used throughout: near-zero weight on the prior mean and a wide
 # inverse-gamma on the variance.
 DIFFUSE_PRIOR = NigParams(0.0, 1e-4, 0.01, 0.01)
-
-METRIC_NAMES = ("precision", "recall", "accuracy", "balanced_accuracy")
 
 
 @dataclass(frozen=True)
@@ -228,81 +223,3 @@ def detect(
         report.metrics_bfdr = confusion_metrics(report.confusion_bfdr)
         report.metrics_fixed = confusion_metrics(report.confusion_fixed)
     return report
-
-
-# cells per block of series written to flags.csv: bounds a dense level's memory
-_FLAG_CHUNK = 65536
-
-
-def _write_flags(path: Path, report: DetectionReport) -> str:
-    """flags.csv as csv.writer would write it: one row per flagged cell, by
-    method, level, series, then timestep."""
-    nt = report.t_index.size
-    t_cells = np.array([f"{t}," for t in report.t_index.tolist()], dtype=object)
-    series = report.flags_bfdr.shape[1]
-    j_cells = np.array([f"{j}\r\n" for j in range(series)], dtype=object)
-    rows = max(1, _FLAG_CHUNK // max(nt, 1))
-    with open(path, "w", newline="") as fh:
-        fh.write("method,q,t,series\r\n")
-        for method, levels, cube in (
-            ("bfdr", report.qs, report.flags_bfdr),
-            ("fixed", report.baseline_etas, report.flags_fixed),
-        ):
-            for level, flags in zip(levels, cube):
-                head = f"{method},{level!r},"
-                for lo in range(0, series, rows):
-                    j, ti = np.divmod(np.flatnonzero(flags[lo : lo + rows]), nt)
-                    if j.size:
-                        fh.write(head + head.join((t_cells[ti] + j_cells[lo + j]).tolist()))
-    return str(path)
-
-
-def write_report(report: DetectionReport, out_dir) -> dict:
-    """Write thresholds.csv, flags.csv and, when metrics exist, metrics.csv
-    and diff.csv.
-
-    Rows run level by level, then by timestep; flags are written sparsely,
-    one row per flagged cell, by level, series, timestep.  Differences pair
-    each evaluated q with the fixed baseline of the same numeric level, when
-    present.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ts = report.t_index.tolist()
-
-    def level_rows(levels, columns, *label):
-        # (t, level, *label, *cells); columns are (level, timestep) arrays
-        for level, *cols in zip(levels, *(c.tolist() for c in columns)):
-            level = repr(level)
-            for t, *cells in zip(ts, *cols):
-                yield (t, level, *label, *cells)
-
-    def threshold_rows():
-        rows = level_rows(report.qs, [report.feasible, report.eta_s, report.eta_r])
-        for t, q, feas, eta_s, eta_r in rows:
-            yield (t, q, eta_s, eta_r, 1) if feas else (t, q, "", "", 0)
-
-    paths = {
-        "thresholds": write_rows_csv(
-            out / "thresholds.csv", ["t", "q", "eta_s", "eta_r", "feasible"], threshold_rows()
-        ),
-        "flags": _write_flags(out / "flags.csv", report),
-    }
-    if report.metrics_bfdr is not None:
-        bfdr = [report.metrics_bfdr[name] for name in METRIC_NAMES]
-        fixed = [report.metrics_fixed[name] for name in METRIC_NAMES]
-        rows = chain(
-            level_rows(report.qs, bfdr, "bfdr"), level_rows(report.baseline_etas, fixed, "fixed")
-        )
-        paths["metrics"] = write_rows_csv(
-            out / "metrics.csv", ["t", "q", "method", *METRIC_NAMES], rows
-        )
-        qi = [i for i, q in enumerate(report.qs) if q in report.baseline_etas]
-        bi = [report.baseline_etas.index(report.qs[i]) for i in qi]
-        diffs = [b[qi] - f[bi] for b, f in zip(bfdr, fixed)]
-        paths["diff"] = write_rows_csv(
-            out / "diff.csv",
-            ["t", "q", *[f"{n}_diff" for n in METRIC_NAMES]],
-            level_rows([report.qs[i] for i in qi], diffs),
-        )
-    return paths

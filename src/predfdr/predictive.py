@@ -96,11 +96,6 @@ def _z_scores(z, dof: float, two_sided: bool):
     return _orient(special.student_t_cdf(z, dof), two_sided)
 
 
-def _window_scores(prior: NigParams, win: np.ndarray, x: np.ndarray, two_sided: bool):
-    """Score each x[...] against the predictive fitted on win[..., :]."""
-    return _z_scores(*_window_z(prior, win, x), two_sided)
-
-
 def nig_update(prior: NigParams, data) -> NigParams:
     """Posterior normal-inverse-gamma parameters after observing iid data.
 

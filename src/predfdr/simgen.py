@@ -9,15 +9,15 @@ signal for sensitivity runs.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .bfdr import _integer
+from .files import as_truth, check_settings, load_matrix_csv, read_json, write_json
+from .files import write_matrix_csv
 
 __all__ = ["SimSpec", "SimData", "gen_signal", "gen_data", "save_sim", "load_sim"]
 
@@ -69,11 +69,10 @@ class SimData:
     sd_outlier: np.ndarray
 
 
-# cells per block of series, in the generator and in the bool writer: bounds
-# the block buffers to a cache-sized working set, as pipeline._CDF_CELLS does.
-# The generator ran as fast with blocks of 2**13 to 2**16 cells, but its two
-# buffers (uniforms, extra draws) put a default simulate's peak RSS about
-# 0.5 MB above a per-series loop's at 2**16 and level with it at 2**15.
+# cells per block of series in the generator: bounds its two buffers
+# (uniforms, extra draws) to a cache-sized working set.  It ran as fast with
+# blocks of 2**13 to 2**16 cells, but a default simulate's peak RSS was 0.5 MB
+# above a per-series loop's at 2**16 and level with it at 2**15.
 _BLOCK_CELLS = 2**14
 
 
@@ -211,41 +210,6 @@ def _pcg64_state(seed_hi: int, seed_lo: int, seq_hi: int, seq_lo: int) -> dict:
     }
 
 
-def write_matrix_csv(mat: np.ndarray, path, t_offset: int = 0) -> None:
-    """Write a (series, timestep) matrix as load_matrix_csv reads it: a header
-    row t<t_offset>, t<t_offset + 1>, ..., then one row per series with each
-    cell in %.17g (0 and 1 for bools); LF line ends.
-
-    A bool matrix is written as those 0/1 bytes built from the array, a block
-    of rows of about 2**14 cells at a time, rather than formatted cell by
-    cell."""
-    header = ",".join(f"t{t_offset + i}" for i in range(mat.shape[1]))
-    if mat.dtype != bool:
-        np.savetxt(path, mat, fmt="%.17g", delimiter=",", header=header, comments="")
-        return
-    rows = max(1, _BLOCK_CELLS // mat.shape[1])
-    # each cell is a digit and a separator: a comma, or LF after the last
-    line = np.full((min(rows, mat.shape[0]), 2 * mat.shape[1]), ord(","), dtype=np.uint8)
-    line[:, -1] = ord("\n")
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for r0 in range(0, mat.shape[0], rows):
-            block = mat[r0 : r0 + rows]
-            text = line[: block.shape[0]]
-            np.add(block, ord("0"), out=text[:, ::2], dtype=np.uint8)
-            fh.write(text)
-
-
-def write_rows_csv(path: Path, header, rows) -> str:
-    """Write a header row and then ``rows`` with csv.writer: CRLF line ends,
-    floats as repr() writes them."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows(rows)
-    return str(path)
-
-
 def save_sim(data: SimData, out_dir) -> dict:
     """Write data.csv (rows = series), truth.csv (0/1) and simspec.json.
 
@@ -260,150 +224,15 @@ def save_sim(data: SimData, out_dir) -> dict:
     }
     write_matrix_csv(data.values, paths["data"])
     write_matrix_csv(data.truth, paths["truth"])
-    paths["simspec"].write_text(json.dumps(asdict(data.spec), indent=2) + "\n")
+    write_json(paths["simspec"], asdict(data.spec))
     return {k: str(v) for k, v in paths.items()}
-
-
-# what csv.reader reads as a row of no cells, and the end of the file
-_BLANK = ("", "\n", "\r", "\r\n")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    """Read a headered CSV matrix written by save_sim.
-
-    A cell is a number as np.loadtxt reads one: Python's float() syntax
-    (surrounding spaces, 'nan' and 'inf' included) without '_' digit
-    separators or non-ASCII digits.  Trailing empty lines are ignored.  A
-    missing or ragged row, a row of another width than the header, or a cell
-    that is not a number is reported by its row and column; rows are counted
-    from 1 below the header, columns from 1.
-    """
-    with open(path, newline="") as fh:
-        width = len(next(csv.reader(fh), []))
-        first = next(fh, "")
-        last = 1  # body line number of the last non-blank line
-
-        def body():
-            nonlocal last
-            yield first
-            for n, line in enumerate(fh, start=2):
-                if line not in _BLANK:
-                    last = n
-                yield line
-
-        # a blank first body line is a missing row or no rows at all
-        if first not in _BLANK:
-            try:
-                mat = np.loadtxt(body(), delimiter=",", ndmin=2, comments=None)
-            except ValueError:
-                pass
-            else:
-                # loadtxt skips blank lines, so fewer rows than `last` means a
-                # blank line mid-file
-                if mat.shape == (last, width):
-                    return mat
-    # the csv reader parses what loadtxt cannot (quoted cells) and names the
-    # first bad cell of what neither can
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    while rows and not rows[-1]:
-        rows.pop()
-    if not rows:
-        raise ValueError(f"empty CSV: {path}")
-    if len(rows) == 1:
-        raise ValueError(f"{path}: no data rows below the header")
-    body = rows[1:]
-    bad = _first_bad_cell(body, len(rows[0]))
-    if bad:
-        raise ValueError(f"{path}: {bad}")
-    return np.array([[_cell_value(c) for c in row] for row in body])
-
-
-def _cell_value(cell: str) -> float:
-    """float(cell) under np.loadtxt's rule, which rejects '_' separators and
-    non-ASCII digits that float() accepts."""
-    text = cell.strip()
-    if "_" in text or not text.isascii():
-        raise ValueError(cell)
-    return float(text)
-
-
-def _first_bad_cell(body: list, width: int) -> Optional[str]:
-    for r, row in enumerate(body, start=1):
-        for c, cell in enumerate(row, start=1):
-            try:
-                _cell_value(cell)
-            except ValueError:
-                return f"row {r}, column {c}: {cell!r} is not a number"
-        if len(row) != width:
-            return (
-                f"row {r}, column {min(len(row), width) + 1}: row has {len(row)} "
-                f"cells, the header has {width}"
-            )
-    return None
-
-
-def _reject_cell(mat: np.ndarray, bad: np.ndarray, path, why: str) -> None:
-    """Name the first cell where ``bad`` holds, numbered as load_matrix_csv
-    numbers cells."""
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        cell = float(mat[r, c])
-        raise ValueError(f"{path}: row {r + 1}, column {c + 1}: {cell!r} {why}")
-
-
-def as_truth(mat: np.ndarray, path) -> np.ndarray:
-    """Truth matrix as booleans; every cell must be 0 or 1."""
-    _reject_cell(mat, (mat != 0.0) & (mat != 1.0), path, "is not 0 or 1")
-    return mat.astype(bool)
-
-
-def as_finite(mat: np.ndarray, path) -> np.ndarray:
-    """The matrix itself; every cell must be finite."""
-    _reject_cell(mat, ~np.isfinite(mat), path, "is not finite")
-    return mat
-
-
-# accepted JSON types, by the type of a setting's default, and their name
-_JSON_TYPES = {
-    bool: ((bool,), "true or false"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-    type(None): ((str, type(None)), "a string or null"),
-}
-
-
-def json_type_error(value, default) -> Optional[str]:
-    """Why a setting's value read from JSON does not have the type of its
-    ``default``, or None when it does.
-
-    An integer passes for a float (but true and false pass for neither), and
-    a list for a tuple or list whose items each pass for its first item.
-    """
-    if isinstance(default, (tuple, list)):
-        item = default[0]
-        if isinstance(value, list) and not any(json_type_error(v, item) for v in value):
-            return None
-        return f"{value!r} is not a list whose items are each {_JSON_TYPES[type(item)][1]}"
-    types, name = _JSON_TYPES[type(default)]
-    return None if type(value) in types else f"{value!r} is not {name}"
 
 
 def load_sim(sim_dir) -> SimData:
     """Reload a saved simulation directory; signal paths are recomputed."""
     d = Path(sim_dir)
-    raw = json.loads((d / "simspec.json").read_text())
-    keys = {f.name for f in fields(SimSpec)}
-    if set(raw) != keys:
-        raise ValueError(
-            f"{d / 'simspec.json'}: missing keys {sorted(keys - set(raw))}, "
-            f"unknown keys {sorted(set(raw) - keys)}"
-        )
-    for f in fields(SimSpec):
-        wrong = json_type_error(raw[f.name], f.default)
-        if wrong:
-            raise ValueError(f"{d / 'simspec.json'}: field {f.name!r}: {wrong}")
+    raw = read_json(d / "simspec.json")
+    check_settings(raw, {f.name: f.default for f in fields(SimSpec)}, d / "simspec.json")
     spec = SimSpec(**raw)
     values = load_matrix_csv(d / "data.csv")
     truth = as_truth(load_matrix_csv(d / "truth.csv"), d / "truth.csv")

@@ -10,8 +10,8 @@ from predfdr.bench import (
     BenchSpec,
     reference_spec,
     run_bench,
-    write_bench_csv,
 )
+from predfdr.files import write_bench_csv
 
 
 def tiny_spec(**kw):
@@ -31,16 +31,22 @@ def test_spec_validation():
     # a fractional k is not truncated to an integer grid
     with pytest.raises(ValueError, match="integer k, got k=2.5"):
         BenchSpec(k_values=(10, 2.5))
-    # every count and the seed follow the integer rule: the first three were
-    # accepted, and run_bench died on seed = -1 with numpy's message
+    # every count and the seed follow the integer rule, and q and a the
+    # selector's rules, when the spec is built: the first three counts were
+    # accepted, run_bench died on seed = -1 with numpy's message, and a bad q
+    # or a failed only in run_bench
     for kw, named in [
         ({"replications": 1.5}, "integer replications, got replications=1.5"),
         ({"m": 2.5}, "integer m, got m=2.5"),
         ({"warmup": 0.5}, "integer warmup, got warmup=0.5"),
         ({"seed": -1}, "seed >= 0, got seed=-1"),
+        ({"q": 1.5}, "q must lie in (0, 1), got q=1.5"),
+        ({"q": 0.0}, "q must lie in (0, 1), got q=0.0"),
+        ({"a": -1}, "got a=-1"),
+        ({"a": float("nan")}, "got a=nan"),
     ]:
         with pytest.raises(ValueError, match=re.escape(named)):
-            run_bench(tiny_spec(**kw))
+            tiny_spec(**kw)
 
 
 def test_reference_spec_frozen():

@@ -53,6 +53,10 @@ def test_bfdr_config_validation():
         BfdrConfig(q=1.0)
     with pytest.raises(ValueError):
         BfdrConfig(q=0.1, a=-0.5)
+    # an exponent that is not a finite number >= 0 is named by its value
+    for a in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match=re.escape(f"got a={a!r}")):
+            BfdrConfig(q=0.1, a=a)
     with pytest.raises(ValueError):
         BfdrConfig(q=0.1, k=0)
     with pytest.raises(ValueError):

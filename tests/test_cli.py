@@ -347,16 +347,16 @@ def test_replay_rejects_other_subcommand_or_options(tmp_path, capsys):
 @pytest.mark.parametrize(
     "edit, named",
     [
-        (lambda m: m["config"].pop("rate"), "missing config keys ['rate']"),
-        (lambda m: m["config"].update(m="5"), "config key 'm': '5' is not an integer"),
-        (lambda m: m["config"].update(bogus=1), "unknown config keys ['bogus']"),
+        (lambda m: m["config"].pop("rate"), "missing keys ['rate']"),
+        (lambda m: m["config"].update(m="5"), "field 'm': '5' is not an integer"),
+        (lambda m: m["config"].update(bogus=1), "unknown keys ['bogus']"),
         (
             lambda m: m["config"].update(recenter="yes"),
-            "config key 'recenter': 'yes' is not true or false",
+            "field 'recenter': 'yes' is not true or false",
         ),
         (
             lambda m: m["config"].update(mean_params=[1, 2]),
-            "config key 'mean_params': --mean-params expects 3 comma-separated values",
+            "field 'mean_params': --mean-params expects 3 comma-separated values",
         ),
         (lambda m: m.update(config=[1, 2]), "not a manifest with a subcommand and a config"),
         (lambda m: m.pop("subcommand"), "not a manifest with a subcommand and a config"),

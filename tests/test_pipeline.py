@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predfdr import pipeline, special
+from predfdr import files, pipeline, special
 from predfdr.bfdr import BfdrConfig, ScoreBatch, gbfdr
 from predfdr.decision import ORIENTATIONS, bfdr_coupled_rule
 from predfdr.pipeline import (
@@ -23,10 +23,17 @@ from predfdr.pipeline import (
     confusion_metrics,
     detect,
     lagged_scores,
-    write_report,
 )
-from predfdr.predictive import NigParams, _window_scores, nig_update, posterior_predictive, score
-from predfdr.simgen import SimSpec, gen_data, write_matrix_csv
+from predfdr.files import write_matrix_csv, write_report
+from predfdr.predictive import (
+    NigParams,
+    _window_z,
+    _z_scores,
+    nig_update,
+    posterior_predictive,
+    score,
+)
+from predfdr.simgen import SimSpec, gen_data
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +77,8 @@ def test_lagged_scores_chunks_match_per_column_scores(panel, monkeypatch, two_si
     monkeypatch.setattr(special, "student_t_cdf", cdf)
     expect = np.empty_like(scores)
     for t in range(lag, 60):
-        expect[:, t - lag] = _window_scores(
-            DIFFUSE_PRIOR, panel.values[:, t - lag : t], panel.values[:, t], two_sided
+        expect[:, t - lag] = _z_scores(
+            *_window_z(DIFFUSE_PRIOR, panel.values[:, t - lag : t], panel.values[:, t]), two_sided
         )
     assert np.array_equal(scores, expect)
 
@@ -104,8 +111,8 @@ def test_lagged_scores_row_blocks_cover_every_series_once(monkeypatch, two_sided
     assert all(b == [(0, 4), (4, 8), (8, 12), (12, m)] for b in blocks.values())
     expect = np.empty_like(scores)
     for t in range(lag, 40):
-        expect[:, t - lag] = _window_scores(
-            DIFFUSE_PRIOR, vals[:, t - lag : t], vals[:, t], two_sided
+        expect[:, t - lag] = _z_scores(
+            *_window_z(DIFFUSE_PRIOR, vals[:, t - lag : t], vals[:, t]), two_sided
         )
     assert scores.tobytes() == expect.tobytes()
 
@@ -596,7 +603,7 @@ def test_flags_csv_bytes_do_not_depend_on_row_blocks(tmp_path, monkeypatch, chun
         flags_fixed=rng.random((2, m, nt)) < 0.05,
     )
     whole = Path(write_report(report, tmp_path / "whole")["flags"]).read_bytes()
-    monkeypatch.setattr(pipeline, "_FLAG_CHUNK", chunk)
+    monkeypatch.setattr(files, "_WRITE_CELLS", chunk)
     blocks = Path(write_report(report, tmp_path / "blocks")["flags"]).read_bytes()
     assert blocks == whole
 

@@ -1,25 +1,19 @@
 """Synthetic panel generator: determinism, signal shapes, contamination, IO."""
+import ast
 import io
 import json
 import math
 import re
 import tracemalloc
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from predfdr import simgen
-from predfdr.simgen import (
-    SimData,
-    SimSpec,
-    gen_data,
-    gen_signal,
-    load_matrix_csv,
-    load_sim,
-    save_sim,
-    write_matrix_csv,
-)
+from predfdr import files, simgen
+from predfdr.files import as_truth, load_matrix_csv, write_matrix_csv
+from predfdr.simgen import SimData, SimSpec, gen_data, gen_signal, load_sim, save_sim
 
 
 def small_spec(**kw):
@@ -278,20 +272,30 @@ def test_save_sim_exact_bytes(tmp_path):
         ((1, 9), 15),
         ((9, 1), 15),
         ((7, 5), 15),
-        ((2 * (simgen._BLOCK_CELLS // 100) + 1, 100), simgen._BLOCK_CELLS),
+        ((2 * (files._WRITE_CELLS // 100) + 1, 100), files._WRITE_CELLS),
     ],
     ids=["one-row", "one-column", "partial-last-block", "default-blocks"],
 )
 def test_bool_matrix_bytes_match_savetxt(tmp_path, monkeypatch, shape, block_cells):
     # the bool writer builds 0/1 rows in blocks of block_cells // columns rows:
     # 3 rows a block for 5 columns; at the default, two full blocks and one row
-    monkeypatch.setattr(simgen, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(files, "_WRITE_CELLS", block_cells)
     mat = np.random.default_rng(5).random(shape) < 0.3
     write_matrix_csv(mat, tmp_path / "truth.csv", t_offset=4)
     want = io.BytesIO()
     header = ",".join(f"t{4 + i}" for i in range(shape[1]))
     np.savetxt(want, mat, fmt="%.17g", delimiter=",", header=header, comments="")
     assert (tmp_path / "truth.csv").read_bytes() == want.getvalue()
+
+
+def test_as_truth_keeps_a_bool_matrix_and_checks_numbers(tmp_path):
+    # a bool matrix is truth as it is, with no check and no copy
+    b = np.array([[True, False], [False, True]])
+    assert as_truth(b, "truth") is b
+    got = as_truth(np.array([[1.0, 0.0], [0.0, 1.0]]), "truth")
+    assert got.dtype == bool and np.array_equal(got, b)
+    with pytest.raises(ValueError, match=re.escape("truth: row 2, column 1: 0.5 is not 0 or 1")):
+        as_truth(np.array([[1.0, 0.0], [0.5, 1.0]]), "truth")
 
 
 @pytest.mark.parametrize(
@@ -331,6 +335,23 @@ def test_load_sim_rejects_mistyped_spec_value(tmp_path, field, value, named):
     path.write_text(json.dumps(d))
     with pytest.raises(ValueError, match=re.escape(f"{path}: {named}")):
         load_sim(tmp_path)
+
+
+def test_files_is_a_leaf_and_the_only_module_that_imports_csv_or_json():
+    # every file format lives in predfdr.files, which needs nothing else of
+    # the package
+    imports = {}
+    for path in sorted(Path(files.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imports[path.stem] = {
+            (getattr(node, "level", 0), getattr(node, "module", None) or alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+    formats = {name for name, mods in imports.items() if mods & {(0, "csv"), (0, "json")}}
+    assert formats == {"files"}
+    assert all(level == 0 for level, _ in imports["files"])
 
 
 def test_load_matrix_csv_empty_file(tmp_path):
@@ -399,3 +420,11 @@ def test_sim_data_shapes():
     assert data.truth.shape == (20, 80)
     assert data.truth.dtype == bool
     assert data.mu.shape == (80,)
+
+
+def test_load_sim_rejects_a_spec_that_is_not_an_object(tmp_path):
+    save_sim(gen_data(small_spec()), tmp_path)
+    path = tmp_path / "simspec.json"
+    path.write_text("[3, 4]\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: [3, 4] is not a JSON object")):
+        load_sim(tmp_path)
