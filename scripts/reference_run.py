@@ -3,12 +3,19 @@
 Each run simulates the paper's panel (``predfdr simulate --seed 0``: m=1000
 series, t=2000, lag 30) and runs CLI ``detect`` on it with every other
 option at its default, each in a fresh interpreter.  The two trees run in
-alternating order, ``--runs`` times each.  The report holds each run's wall
-time and peak RSS, the summed wall time of the stages ``predfdr.cli`` calls,
-their medians per side, and a byte comparison of every file written against
-the parent's first run.  Runs use relative paths, so manifests compare too.
+alternating order, ``--runs`` rounds of one run each.  The report holds each
+run's wall time and peak RSS, the summed wall time of the stages
+``predfdr.cli`` calls, their medians per side, and a byte comparison of every
+file written against the parent's first run.  Runs use relative paths, so
+manifests compare too.
 
-    python scripts/reference_run.py --parent HEAD~1 --out BENCH_16.json
+The two runs of a round share the host's load of the moment, so the report
+also pairs them: per round, the change/parent ratio of wall time and of peak
+RSS, the median of those ratios, and the number of rounds the change won.
+On a shared host the per-side medians can drift by more than a change moves
+them; the paired ratios resolve what those medians cannot.
+
+    python scripts/reference_run.py --parent HEAD~1 --out BENCH_18.json
 
 The parent tree is extracted from git (``git archive``) into ``--work``.
 """
@@ -115,6 +122,20 @@ def _median(runs: list) -> dict:
     }
 
 
+def _paired(runs: dict) -> dict:
+    """Per round, the change's wall time and peak RSS over the parent's; the
+    median ratio, and the rounds the change won (a ratio below 1)."""
+    paired = {}
+    for key in ("wall_s", "peak_rss_mb"):
+        ratios = [c[key] / p[key] for p, c in zip(runs["parent"], runs["change"])]
+        paired[key] = {
+            "change_over_parent": [round(r, 4) for r in ratios],
+            "median_ratio": round(statistics.median(ratios), 4),
+            "rounds_change_won": sum(r < 1.0 for r in ratios),
+        }
+    return paired
+
+
 def _files(root: Path) -> list:
     return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
 
@@ -122,7 +143,7 @@ def _files(root: Path) -> list:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent tree")
-    ap.add_argument("--runs", type=int, default=3, help="runs per side")
+    ap.add_argument("--runs", type=int, default=10, help="rounds, each one run per side")
     ap.add_argument("--work", default="reference_run.work", help="scratch directory")
     ap.add_argument("--out", default=None, help="JSON report path (default: stdout)")
     ap.add_argument("--finding", default=None, help="one-line reading of the numbers")
@@ -172,6 +193,10 @@ def main(argv=None) -> int:
                 f"numpy {np.__version__}"
             ),
             "runs": f"{args.runs} per side, in {args.runs} rounds alternating the order ({order})",
+            "paired": (
+                "per round, the change's wall_s and peak_rss_mb over the parent's in the same "
+                "round; the median of those ratios, and the rounds the change won (ratio < 1)"
+            ),
             "outputs": (
                 f"the {len(names)} files of every run (simulate's and detect's, manifests "
                 "included) compared (cmp) with the parent's first run: "
@@ -179,6 +204,7 @@ def main(argv=None) -> int:
             ),
             "differing_files": differ,
         },
+        "paired": _paired(runs),
         "parent": {"median": _median(runs["parent"]), "runs": runs["parent"]},
         "change": {"median": _median(runs["change"]), "runs": runs["change"]},
     }

@@ -13,7 +13,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .bfdr import BfdrConfig, ScoreBatch, _integer, gbfdr_looped, gbfdr_vectorized
+from .bfdr import BfdrConfig, ScoreBatch, _check_capacity, _integer
+from .bfdr import gbfdr_looped, gbfdr_vectorized
 
 __all__ = ["BenchSpec", "BenchRun", "BenchReport", "run_bench", "reference_spec"]
 
@@ -37,6 +38,8 @@ class BenchSpec:
             object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
         BfdrConfig(q=self.q, a=self.a)  # q and a follow the selector's rules
         object.__setattr__(self, "k_values", tuple(_integer(k, "k") for k in self.k_values))
+        for k in self.k_values:  # the vectorised selector must fit every k
+            _check_capacity(self.m, k)
 
 
 def reference_spec(seed: int = 0) -> BenchSpec:

@@ -60,8 +60,19 @@ ALGORITHMS = get_args(Algorithm)
 DEFAULT_MAX_BYTES = 2 << 30
 
 
-class CapacityError(Exception):
+class CapacityError(ValueError):
     """Raised when the vectorised selector would exceed its memory budget."""
+
+
+def _check_capacity(m: int, k: int) -> None:
+    """CapacityError, naming the sizes, unless the vectorised selector's
+    working set for m scores on a k-step grid fits in DEFAULT_MAX_BYTES."""
+    need = (k + 1) * m * (8 + 1)
+    if need > DEFAULT_MAX_BYTES:
+        raise CapacityError(
+            f"m={m}, k={k}: the vectorised selector's grid matrix of {need} bytes "
+            f"exceeds its {DEFAULT_MAX_BYTES}-byte budget"
+        )
 
 
 class ScoreBatch:
@@ -239,11 +250,8 @@ def gbfdr_vectorized(batch: ScoreBatch, cfg: BfdrConfig) -> ThresholdResult:
     looped scan sums, so the two implementations return identical results.
     """
     s = batch.scores
-    m = s.size
     k = cfg.k
-    need = (k + 1) * m * (8 + 1)
-    if need > DEFAULT_MAX_BYTES:
-        raise CapacityError(f"grid matrix of {need} bytes exceeds {DEFAULT_MAX_BYTES} bytes")
+    _check_capacity(s.size, k)
     grid = np.arange(k + 1, dtype=float) / k
     w = _signed_power(s, cfg.q, cfg.a)
     # (k+1, m) layout: row l holds the masked terms for eta = l / k
@@ -305,12 +313,15 @@ def gbfdr(batch: ScoreBatch, cfg: BfdrConfig) -> ThresholdResult:
 
 @dataclass(frozen=True)
 class McFdrEstimate:
-    """Monte Carlo estimate of the mean realized-FDR threshold."""
+    """Monte Carlo estimate of the mean realized-FDR threshold, and the mean
+    realized FDP over all draws at each grid value (nan where none is
+    selected)."""
 
     mean: float
     se: float
     feasible_draws: int
     draws: int
+    fdp: np.ndarray
 
 
 # draws per block of the Monte Carlo oracle, which bounds its temporaries
@@ -343,11 +354,13 @@ def mc_fdr_inverse(rates, q: float, draws: int, k: int, seed: int = 0) -> McFdrE
     # stats are computed once over all draws so the result is independent
     # of the chunk size used to bound memory
     kept: list[np.ndarray] = []
+    false_total = np.zeros(k + 1)  # integer counts, so exact in any order
     selF = sel.astype(float)
     for start in range(0, draws, _MC_CHUNK):
         nd = min(_MC_CHUNK, draws - start)
         gamma = rng.random((nd, r.size)) < r[None, :]
         false = (~gamma).astype(float) @ selF  # (nd, k+1)
+        false_total += false.sum(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             fdp = false / counts[None, :]
         feas = nonempty[None, :] & (fdp < q)
@@ -356,13 +369,15 @@ def mc_fdr_inverse(rates, q: float, draws: int, k: int, seed: int = 0) -> McFdrE
             rev = feas[any_feas, ::-1]
             idx = k - rev.argmax(axis=1)
             kept.append(grid[idx])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_fdp = false_total / (draws * counts)
     if not kept:
-        return McFdrEstimate(math.nan, math.nan, 0, draws)
+        return McFdrEstimate(math.nan, math.nan, 0, draws, mean_fdp)
     etas = np.concatenate(kept)
     n_feasible = etas.size
     mean = float(np.mean(etas))
     se = math.sqrt(float(np.var(etas)) / n_feasible)
-    return McFdrEstimate(mean, se, n_feasible, draws)
+    return McFdrEstimate(mean, se, n_feasible, draws, mean_fdp)
 
 
 class MomentDerivativeCheck(NamedTuple):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import __version__
@@ -18,7 +19,7 @@ from .decision import ORIENTATIONS
 from .files import as_finite, as_truth, check_settings, load_matrix_csv, read_json
 # the matrix writer keeps the name perfbench/spans.py hooks
 from .files import write_bench_csv, write_json, write_matrix_csv as write_scores_csv, write_report
-from .pipeline import DetectConfig, detect, lagged_scores
+from .pipeline import DIFFUSE_PRIOR, DetectConfig, detect, lagged_scores
 from .predictive import NigParams
 from .simgen import SimSpec, gen_data, save_sim
 from .validation import run_checks
@@ -68,6 +69,11 @@ def parse_level_grid(spec: str, option: str = "--q-grid"):
     return [one(tok) for tok in spec.split(",") if tok.strip()]
 
 
+def _text(values) -> str:
+    """A sequence as the comma-separated text its option parses back."""
+    return ",".join(map(repr, values))
+
+
 def _parse_pair(text: str, n: int, name: str) -> list:
     parts = _number_list(text, name)
     if len(parts) != n:
@@ -93,20 +99,25 @@ def _write_manifest(out_dir: Path, subcommand: str, config: dict, outputs: dict)
     write_json(out_dir / "manifest.json", manifest)
 
 
+# the spec field of each option whose dest is not the field's name
+_SPEC_FIELDS = {
+    "rate": "outlier_rate",
+    "sd_inlier": "sd_inlier_params",
+    "sd_outlier": "sd_outlier_params",
+    "recenter": "recenter_outliers",
+}
+
+
+def _spec(cls, config: dict, **given):
+    """``cls`` built from the config's options that name its fields, and ``given``."""
+    names = {f.name for f in fields(cls)}
+    settings = {_SPEC_FIELDS.get(key, key): value for key, value in config.items()}
+    return cls(**{key: value for key, value in {**settings, **given}.items() if key in names})
+
+
 def _run_simulate(config: dict) -> int:
     out = Path(config["out"])
-    spec = SimSpec(
-        m=config["m"],
-        t_len=config["t_len"],
-        lag=config["lag"],
-        outlier_rate=config["rate"],
-        mean_params=tuple(config["mean_params"]),
-        sd_inlier_params=tuple(config["sd_inlier"]),
-        sd_outlier_params=tuple(config["sd_outlier"]),
-        recenter_outliers=config["recenter"],
-        seed=config["seed"],
-    )
-    paths = save_sim(gen_data(spec), out)
+    paths = save_sim(gen_data(_spec(SimSpec, config)), out)
     _write_manifest(out, "simulate", config, paths)
     print(f"wrote {', '.join(sorted(paths))} to {out}")
     return 0
@@ -121,17 +132,9 @@ def _run_detect(config: dict) -> int:
     qs = config["q_values"]
     if not qs:
         raise ValueError("--q-grid gives no levels")
-    base = (
-        None
-        if config["baseline_etas"] == "match"
-        else tuple(parse_level_grid(config["baseline_etas"], "--baseline-etas"))
-    )
-    cfg = DetectConfig(
-        bfdr=BfdrConfig(q=qs[0], a=config["a"], k=config["k"]),
-        c1=config["c1"],
-        baseline_etas=base,
-        orientation=config["orientation"],
-    )
+    etas = config["baseline_etas"]
+    base = None if etas == "match" else tuple(parse_level_grid(etas, "--baseline-etas"))
+    cfg = _spec(DetectConfig, config, bfdr=_spec(BfdrConfig, config, q=qs[0]), baseline_etas=base)
     # every level's selector settings are checked before any input is read
     cfg.levels(qs)
     values = as_finite(load_matrix_csv(config["data"]), config["data"])
@@ -157,17 +160,7 @@ def _run_detect(config: dict) -> int:
 
 def _run_bench(config: dict) -> int:
     out = Path(config["out"])
-    if config["paper"]:
-        spec = reference_spec(seed=config["seed"])
-    else:
-        spec = BenchSpec(
-            replications=config["replications"],
-            m=config["m"],
-            a=config["a"],
-            q=config["q"],
-            k_values=tuple(config["k_values"]),
-            seed=config["seed"],
-        )
+    spec = reference_spec(seed=config["seed"]) if config["paper"] else _spec(BenchSpec, config)
     report = run_bench(spec)
     paths = write_bench_csv(report, out)
     _write_manifest(out, "bench", config, paths)
@@ -198,47 +191,49 @@ def build_parser() -> _Parser:
     outputs.add_argument("--out", default=os.environ.get(OUT_ENV, "."))
     outputs.add_argument("--from-manifest", default=None)
 
+    # an option the library has a default for reads it from the library
     p = sub.add_parser("simulate", help="generate a synthetic panel", parents=[outputs])
-    p.add_argument("--m", type=int, default=1000)
-    p.add_argument("--t", dest="t_len", type=int, default=2000)
-    p.add_argument("--lag", type=int, default=30)
-    p.add_argument("--rate", type=float, default=0.025)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mean-params", default="2,8,4", help="base,growth,cycles")
-    p.add_argument("--sd-inlier", default="0.5,1.5", help="start,end")
-    p.add_argument("--sd-outlier", default="1,3", help="start,end")
+    p.add_argument("--m", type=int, default=SimSpec.m)
+    p.add_argument("--t", dest="t_len", type=int, default=SimSpec.t_len)
+    p.add_argument("--lag", type=int, default=SimSpec.lag)
+    p.add_argument("--rate", type=float, default=SimSpec.outlier_rate)
+    p.add_argument("--seed", type=int, default=SimSpec.seed)
+    p.add_argument("--mean-params", default=_text(SimSpec.mean_params), help="base,growth,cycles")
+    p.add_argument("--sd-inlier", default=_text(SimSpec.sd_inlier_params), help="start,end")
+    p.add_argument("--sd-outlier", default=_text(SimSpec.sd_outlier_params), help="start,end")
     p.add_argument(
-        "--recenter",
-        action="store_true",
+        "--recenter", action="store_true", default=SimSpec.recenter_outliers,
         help="recenter outlier draws onto the signal mean",
     )
 
     p = sub.add_parser("detect", help="score a panel and select thresholds", parents=[outputs])
     p.add_argument("--data", required=False)
     p.add_argument("--truth", default=None)
-    p.add_argument("--lag", type=int, default=30)
-    p.add_argument("--prior", default="0,0.0001,0.01,0.01", help="mu0,nu,alpha,beta")
+    p.add_argument("--lag", type=int, default=SimSpec.lag)
+    p.add_argument("--prior", default=_text(astuple(DIFFUSE_PRIOR)), help="mu0,nu,alpha,beta")
     p.add_argument("--q-grid", dest="q_values", metavar="Q_GRID", default="2^-1..2^-15")
     p.add_argument("--a", type=float, default=2.0)
-    p.add_argument("--k", type=int, default=1000)
-    p.add_argument("--c1", type=float, default=0.0)
+    p.add_argument("--k", type=int, default=BfdrConfig.k)
+    p.add_argument("--c1", type=float, default=DetectConfig.c1)
     p.add_argument("--baseline-etas", default="match", help="'match' or a grid spec")
-    p.add_argument("--orientation", choices=ORIENTATIONS, default="null_score")
+    p.add_argument("--orientation", choices=ORIENTATIONS, default=DetectConfig.orientation)
     p.add_argument("--two-sided", action="store_true")
 
     p = sub.add_parser("bench", help="time the two selector implementations", parents=[outputs])
-    p.add_argument("--replications", type=int, default=100)
-    p.add_argument("--m", type=int, default=1000)
-    p.add_argument("--a", type=float, default=2.0)
-    p.add_argument("--q", type=float, default=0.2)
+    p.add_argument("--replications", type=int, default=BenchSpec.replications)
+    p.add_argument("--m", type=int, default=BenchSpec.m)
+    p.add_argument("--a", type=float, default=BenchSpec.a)
+    p.add_argument("--q", type=float, default=BenchSpec.q)
     p.add_argument(
-        "--k", dest="k_values", metavar="K", default="10000", help="comma-separated grid sizes"
+        "--k", dest="k_values", metavar="K", default=_text(BenchSpec.k_values),
+        help="comma-separated grid sizes",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=BenchSpec.seed)
+    ref = reference_spec()
     p.add_argument(
-        "--paper",
-        action="store_true",
-        help="reference configuration: 1500 replications, m=1000, a=2, q=0.2, k=10000",
+        "--paper", action="store_true",
+        help=f"reference configuration: {ref.replications} replications, m={ref.m}, "
+        f"a={ref.a:g}, q={ref.q:g}, k={_text(ref.k_values)}",
     )
 
     p = sub.add_parser("validate", help="run the property-check suites")
@@ -307,7 +302,7 @@ def _replayed_config(
     for key in sorted(config.keys() & _TEXT_OPTIONS.keys()):
         # the option's own parser checks the count and integer items
         try:
-            config[key] = _TEXT_OPTIONS[key](",".join(map(repr, config[key])))
+            config[key] = _TEXT_OPTIONS[key](_text(config[key]))
         except ValueError as exc:
             raise ValueError(f"{source}: field {key!r}: {exc}") from None
     return config

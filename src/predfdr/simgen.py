@@ -234,7 +234,11 @@ def load_sim(sim_dir) -> SimData:
     raw = read_json(d / "simspec.json")
     check_settings(raw, {f.name: f.default for f in fields(SimSpec)}, d / "simspec.json")
     spec = SimSpec(**raw)
-    values = load_matrix_csv(d / "data.csv")
-    truth = as_truth(load_matrix_csv(d / "truth.csv"), d / "truth.csv")
+    shape = (spec.m, spec.t_len)
+    read = {name: load_matrix_csv(d / name) for name in ("data.csv", "truth.csv")}
+    for name, mat in read.items():
+        if mat.shape != shape:
+            raise ValueError(f"{d / name}: shape {mat.shape}, expected {shape} from simspec.json")
+    truth = as_truth(read["truth.csv"], d / "truth.csv")
     mu, sd_in, sd_out = gen_signal(spec)
-    return SimData(spec, values, truth, mu, sd_in, sd_out)
+    return SimData(spec, read["data.csv"], truth, mu, sd_in, sd_out)

@@ -11,6 +11,7 @@ from predfdr.bench import (
     reference_spec,
     run_bench,
 )
+from predfdr.bfdr import CapacityError
 from predfdr.files import write_bench_csv
 
 
@@ -18,6 +19,18 @@ def tiny_spec(**kw):
     base = dict(replications=6, m=40, a=2.0, q=0.2, k_values=(20, 50), seed=0, warmup=1)
     base.update(kw)
     return BenchSpec(**base)
+
+
+def test_spec_rejects_a_grid_beyond_the_vectorised_budget():
+    # every k is run by the vectorised selector, so a spec whose grid matrix
+    # cannot fit fails when it is built, not after the looped runs
+    expect = (
+        "m=100000, k=100000: the vectorised selector's grid matrix of 90000900000 bytes "
+        "exceeds its 2147483648-byte budget"
+    )
+    with pytest.raises(CapacityError, match=re.escape(expect)):
+        BenchSpec(m=100000, k_values=(10, 100000))
+    assert issubclass(CapacityError, ValueError)
 
 
 def test_spec_validation():

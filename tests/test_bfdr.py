@@ -386,6 +386,17 @@ def test_mc_fdr_chunk_invariance(monkeypatch):
     monkeypatch.setattr(bfdr, "_MC_CHUNK", 400)
     b = mc_fdr_inverse(rates, 0.25, draws=400, k=20, seed=9)
     assert (a.mean, a.se, a.feasible_draws) == (b.mean, b.se, b.feasible_draws)
+    assert np.array_equal(a.fdp, b.fdp, equal_nan=True)
+
+
+def test_mc_fdr_mean_fdp_per_grid_value():
+    # null scores 1 - rate = [1, 0, 0, 1]: grid values 0 .. 0.75 select the
+    # two certain outliers, and 1 selects all four, two of them false
+    est = mc_fdr_inverse([0.0, 1.0, 1.0, 0.0], q=0.2, draws=30, k=4, seed=1)
+    assert est.fdp.tolist() == [0.0, 0.0, 0.0, 0.0, 0.5]
+    # a grid value that selects nothing has no FDP
+    est = mc_fdr_inverse([0.3], q=0.2, draws=30, k=4, seed=1)
+    assert np.isnan(est.fdp[:3]).all() and np.isfinite(est.fdp[3:]).all()
 
 
 def test_mc_fdr_tracks_deterministic_on_coarse_grid():

@@ -5,7 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from predfdr.cli import main, parse_level_grid
+from predfdr.bench import BenchSpec, reference_spec
+from predfdr.bfdr import BfdrConfig
+from predfdr.cli import _config_from_args, _spec, build_parser, main, parse_level_grid
+from predfdr.pipeline import DIFFUSE_PRIOR, DetectConfig
+from predfdr.predictive import NigParams
+from predfdr.simgen import SimSpec
 
 
 def run_simulate(out, extra=()):
@@ -325,6 +330,29 @@ def test_manifest_config_frozen(tmp_path):
     assert config["bench"]["k_values"] == [20, 40]
 
 
+def test_cli_defaults_are_the_librarys(capsys):
+    # each default is declared once, by the library: a changed library
+    # default changes the CLI's, and the specs are built as the runs build them
+    parser = build_parser()
+    config = {
+        sub: _config_from_args(parser.parse_args([sub])) for sub in ("simulate", "detect", "bench")
+    }
+    assert _spec(SimSpec, config["simulate"]) == SimSpec()
+    assert _spec(BenchSpec, config["bench"]) == BenchSpec()
+    det = config["detect"]
+    assert NigParams(*det["prior"]) == DIFFUSE_PRIOR
+    assert (det["k"], det["c1"], det["orientation"]) == (
+        BfdrConfig.k, DetectConfig.c1, DetectConfig.orientation
+    )
+    assert det["lag"] == config["simulate"]["lag"] == SimSpec.lag
+    ref = reference_spec()
+    assert main(["bench", "--help"]) == 0
+    assert (
+        f"reference configuration: {ref.replications} replications, m={ref.m}, "
+        f"a={ref.a:g}, q={ref.q:g}, k={ref.k_values[0]}"
+    ) in " ".join(capsys.readouterr().out.split())
+
+
 def test_replay_rejects_other_subcommand_or_options(tmp_path, capsys):
     # a replay that ran another subcommand, or dropped a typed option, would
     # exit 0 having done something other than what was asked
@@ -433,6 +461,18 @@ def test_bench_cli_smoke(tmp_path, capsys):
     argv[argv.index("--k") + 1] = "10,x"
     assert main(argv) == 1
     assert "--k '10,x': 'x' is not an integer" in capsys.readouterr().err
+
+
+def test_bench_beyond_the_selector_budget_is_invalid_input(tmp_path, capsys):
+    # it used to end in an uncaught CapacityError traceback
+    out = tmp_path / "bench"
+    argv = ["bench", "--out", str(out), "--m", "100000", "--k", "100000", "--replications", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: m=100000, k=100000: the vectorised selector's grid matrix of 90000900000 "
+        "bytes exceeds its 2147483648-byte budget\n"
+    )
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- validate

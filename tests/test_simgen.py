@@ -428,3 +428,19 @@ def test_load_sim_rejects_a_spec_that_is_not_an_object(tmp_path):
     path.write_text("[3, 4]\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: [3, 4] is not a JSON object")):
         load_sim(tmp_path)
+
+
+def test_load_sim_rejects_matrices_of_another_shape_than_the_spec(tmp_path):
+    # with two rows cut from data.csv and three columns from truth.csv this
+    # used to load values (3, 40) and truth (5, 37) beside mu (40,), no error
+    data = gen_data(SimSpec(m=5, t_len=40, lag=4))
+    save_sim(data, tmp_path)
+    write_matrix_csv(data.values[:3], tmp_path / "data.csv")
+    write_matrix_csv(data.truth[:, :37], tmp_path / "truth.csv")
+    expect = f"{tmp_path / 'data.csv'}: shape (3, 40), expected (5, 40) from simspec.json"
+    with pytest.raises(ValueError, match=re.escape(expect)):
+        load_sim(tmp_path)
+    write_matrix_csv(data.values, tmp_path / "data.csv")
+    expect = f"{tmp_path / 'truth.csv'}: shape (5, 37), expected (5, 40) from simspec.json"
+    with pytest.raises(ValueError, match=re.escape(expect)):
+        load_sim(tmp_path)
