@@ -106,13 +106,14 @@ def _check_mc_fdr(rng, draws: int) -> CheckResult:
     # draw's false count is a sum of independent Bernoullis, so se is exact
     m, q, k = 50, 0.2, 20
     rates = rng.random(m)
-    det = classic_bfdr(ScoreBatch(1.0 - rates), q, k)
+    null = 1.0 - rates
+    det = classic_bfdr(ScoreBatch(null), q, k)
     est = mc_fdr_inverse(rates, q, draws=draws, k=k, seed=int(rng.integers(2**31)))
     if not det.feasible:
         return CheckResult("mc_fdr_inverse", False, "degenerate configuration")
-    null = (1.0 - rates)[1.0 - rates <= det.eta]
-    bfdr = float(np.mean(null))
-    se = math.sqrt(float(np.sum(null * (1.0 - null))) / draws) / null.size
+    sel = null[null <= det.eta]
+    bfdr = float(np.mean(sel))
+    se = math.sqrt(float(np.sum(sel * (1.0 - sel))) / draws) / sel.size
     gap = abs(float(est.fdp[det.index]) - bfdr)
     return CheckResult(
         "mc_fdr_inverse",
