@@ -340,7 +340,7 @@ def mc_fdr_inverse(rates, q: float, draws: int, k: int, seed: int = 0) -> McFdrE
     r = np.asarray(rates, dtype=float)
     if r.ndim != 1 or r.size == 0:
         raise ValueError("rates must be a nonempty 1-d sequence")
-    if np.any((r < 0.0) | (r > 1.0)):
+    if not np.all((r >= 0.0) & (r <= 1.0)):  # NaN too
         raise ValueError("rates must lie in [0, 1]")
     _level(q, "q")
     k = _integer(k, "k")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import astuple, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from . import __version__
@@ -160,8 +160,11 @@ def _run_detect(config: dict) -> int:
 
 def _run_bench(config: dict) -> int:
     out = Path(config["out"])
-    spec = reference_spec(seed=config["seed"]) if config["paper"] else _spec(BenchSpec, config)
-    report = run_bench(spec)
+    if config["paper"]:
+        # the manifest records the reference spec, the one that runs
+        ref = asdict(reference_spec(seed=config["seed"]))
+        config = {key: ref.get(key, value) for key, value in config.items()}
+    report = run_bench(_spec(BenchSpec, config))
     paths = write_bench_csv(report, out)
     _write_manifest(out, "bench", config, paths)
     for row in report.summary():
@@ -268,6 +271,15 @@ def _config_from_args(args: argparse.Namespace) -> dict:
 _RETIRED_KEYS = {"detect": {"algorithm", "threads"}}
 
 
+def _typed(argv: list) -> set:
+    """The options typed after the subcommand, as typed (maybe abbreviated)."""
+    return {tok.partition("=")[0] for tok in argv[1:] if tok.startswith("--")}
+
+
+# the bench options --paper sets, which it may not be typed beside
+_PAPER_OPTIONS = ("--replications", "--m", "--a", "--q", "--k")
+
+
 def _replayed_config(
     parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list
 ) -> dict:
@@ -285,8 +297,7 @@ def _replayed_config(
         and isinstance(manifest.get("config"), dict)
     ):
         raise ValueError(f"{source}: not a manifest with a subcommand and a config object")
-    typed = {tok.partition("=")[0] for tok in argv[1:] if tok.startswith("--")}
-    others = sorted(tok for tok in typed if not "--from-manifest".startswith(tok))
+    others = sorted(tok for tok in _typed(argv) if not "--from-manifest".startswith(tok))
     if others or manifest["subcommand"] != args.subcommand:
         raise ValueError(
             f"{source} replays {manifest['subcommand']} "
@@ -325,6 +336,10 @@ def main(argv=None) -> int:
             config = _replayed_config(parser, args, argv)
         else:
             config = _config_from_args(args)
+            # argparse takes an abbreviation only if it names one option
+            named = [o for o in _PAPER_OPTIONS if any(o.startswith(t) for t in _typed(argv))]
+            if config.get("paper") and named:
+                raise ValueError(f"--paper sets {', '.join(named)}; type none of them with it")
         if config.get("seed", 0) < 0:
             raise ValueError(f"--seed {config['seed']}: the seed must be a non-negative integer")
         return _RUNNERS[args.subcommand](config)

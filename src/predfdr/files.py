@@ -181,11 +181,9 @@ def json_type_error(value, default) -> Optional[str]:
     return None if type(value) in types else f"{value!r} is not {name}"
 
 
-def check_settings(settings, defaults: dict, source) -> None:
-    """Settings read from JSON must be an object with the keys of ``defaults``,
-    each typed like its default; else a ValueError naming ``source`` and the key."""
-    if not isinstance(settings, dict):
-        raise ValueError(f"{source}: {settings!r} is not a JSON object")
+def check_settings(settings: dict, defaults: dict, source) -> None:
+    """Settings read from JSON must have the keys of ``defaults``, each typed
+    like its default; else a ValueError naming ``source`` and the key."""
     if set(settings) != set(defaults):
         raise ValueError(
             f"{source}: missing keys {sorted(set(defaults) - set(settings))}, "

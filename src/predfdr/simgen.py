@@ -9,17 +9,16 @@ signal for sensitivity runs.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Tuple
 
 import numpy as np
 
 from .bfdr import _integer
-from .files import as_truth, check_settings, load_matrix_csv, read_json, write_json
-from .files import write_matrix_csv
+from .files import write_json, write_matrix_csv
 
-__all__ = ["SimSpec", "SimData", "gen_signal", "gen_data", "save_sim", "load_sim"]
+__all__ = ["SimSpec", "SimData", "gen_signal", "gen_data", "save_sim"]
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,10 @@ class SimSpec:
         if not 0.0 <= self.outlier_rate < 1.0:
             raise ValueError("SimSpec requires outlier_rate in [0, 1)")
         for name in ("mean_params", "sd_inlier_params", "sd_outlier_params"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            params = tuple(float(v) for v in getattr(self, name))
+            if not np.isfinite(params).all():
+                raise ValueError(f"SimSpec requires finite {name}, got {name}={params!r}")
+            object.__setattr__(self, name, params)
         for pair in (self.sd_inlier_params, self.sd_outlier_params):
             if len(pair) != 2 or min(pair) <= 0.0:
                 raise ValueError("sd ramps must be positive (start, end) pairs")
@@ -59,14 +61,11 @@ class SimSpec:
 
 @dataclass(frozen=True)
 class SimData:
-    """Generated panel: values and truth are (m, t_len); signal arrays are (t_len,)."""
+    """A panel drawn from ``spec``: values and truth are (m, t_len)."""
 
     spec: SimSpec
     values: np.ndarray
     truth: np.ndarray
-    mu: np.ndarray
-    sd_inlier: np.ndarray
-    sd_outlier: np.ndarray
 
 
 # cells per block of series in the generator: bounds its two buffers
@@ -140,7 +139,7 @@ def gen_data(spec: SimSpec) -> SimData:
         is_out = truth[r0 : r0 + n]
         np.less(u, spec.outlier_rate, out=is_out)
         np.copyto(inlier, extra, where=is_out)
-    return SimData(spec, values, truth, mu, sd_in, sd_out)
+    return SimData(spec, values, truth)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the constants
@@ -227,18 +226,3 @@ def save_sim(data: SimData, out_dir) -> dict:
     write_json(paths["simspec"], asdict(data.spec))
     return {k: str(v) for k, v in paths.items()}
 
-
-def load_sim(sim_dir) -> SimData:
-    """Reload a saved simulation directory; signal paths are recomputed."""
-    d = Path(sim_dir)
-    raw = read_json(d / "simspec.json")
-    check_settings(raw, {f.name: f.default for f in fields(SimSpec)}, d / "simspec.json")
-    spec = SimSpec(**raw)
-    shape = (spec.m, spec.t_len)
-    read = {name: load_matrix_csv(d / name) for name in ("data.csv", "truth.csv")}
-    for name, mat in read.items():
-        if mat.shape != shape:
-            raise ValueError(f"{d / name}: shape {mat.shape}, expected {shape} from simspec.json")
-    truth = as_truth(read["truth.csv"], d / "truth.csv")
-    mu, sd_in, sd_out = gen_signal(spec)
-    return SimData(spec, read["data.csv"], truth, mu, sd_in, sd_out)

@@ -417,6 +417,12 @@ def test_mc_fdr_validation():
         mc_fdr_inverse([0.5], 1.2, 10, 10)
 
 
+def test_mc_fdr_rejects_a_nan_rate():
+    # a NaN rate compared False both ways and was drawn as a certain null
+    with pytest.raises(ValueError, match=re.escape("rates must lie in [0, 1]")):
+        mc_fdr_inverse([0.9, np.nan, 0.95, 0.1], 0.2, draws=200, k=20)
+
+
 @pytest.mark.parametrize(
     "kwargs, name",
     [({"k": 0}, "k"), ({"k": -3}, "k"), ({"draws": 0}, "draws")],

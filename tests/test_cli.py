@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from predfdr import bench
 from predfdr.bench import BenchSpec, reference_spec
 from predfdr.bfdr import BfdrConfig
 from predfdr.cli import _config_from_args, _spec, build_parser, main, parse_level_grid
@@ -94,6 +95,22 @@ def test_simulate_manifest_is_replayable(tmp_path):
     assert main(["simulate", "--from-manifest", str(replay)]) == 0
     assert (second / "data.csv").read_bytes() == (first / "data.csv").read_bytes()
     assert (second / "truth.csv").read_bytes() == (first / "truth.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "option, text, field",
+    [
+        ("--mean-params", "nan,1,1", "mean_params=(nan, 1.0, 1.0)"),
+        ("--sd-inlier", "nan,1", "sd_inlier_params=(nan, 1.0)"),
+        ("--sd-outlier", "1,inf", "sd_outlier_params=(1.0, inf)"),
+    ],
+)
+def test_simulate_rejects_non_finite_signal_parameters(tmp_path, capsys, option, text, field):
+    # a NaN signal parameter used to exit 0 with a data.csv of nan cells
+    argv = ["simulate", "--out", str(tmp_path / "sim"), "--m", "3", "--t", "10", "--lag", "2"]
+    assert main([*argv, option, text]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
 
 
 def test_simulate_honours_out_env(tmp_path, monkeypatch):
@@ -386,6 +403,16 @@ def test_replay_rejects_other_subcommand_or_options(tmp_path, capsys):
             lambda m: m["config"].update(mean_params=[1, 2]),
             "field 'mean_params': --mean-params expects 3 comma-separated values",
         ),
+        (lambda m: m["config"].update(rate=None), "field 'rate': None is not a number"),
+        (lambda m: m["config"].update(recenter=1), "field 'recenter': 1 is not true or false"),
+        (
+            lambda m: m["config"].update(mean_params="2,8,4"),
+            "field 'mean_params': '2,8,4' is not a list",
+        ),
+        (
+            lambda m: m["config"].update(sd_inlier=[0.5, "1"]),
+            "field 'sd_inlier': [0.5, '1'] is not a list",
+        ),
         (lambda m: m.update(config=[1, 2]), "not a manifest with a subcommand and a config"),
         (lambda m: m.pop("subcommand"), "not a manifest with a subcommand and a config"),
     ],
@@ -473,6 +500,52 @@ def test_bench_beyond_the_selector_budget_is_invalid_input(tmp_path, capsys):
         "bytes exceeds its 2147483648-byte budget\n"
     )
     assert not out.exists()
+
+
+@pytest.fixture
+def ran_benches(monkeypatch):
+    """The specs handed to run_bench, stubbed to time one run of each method."""
+    specs = []
+
+    def stub(spec):
+        specs.append(spec)
+        methods = ("looped", "vectorized")
+        runs = [bench.BenchRun(method, k, 0, 0.0, -1) for k in spec.k_values for method in methods]
+        return bench.BenchReport(spec, runs)
+
+    monkeypatch.setattr("predfdr.cli.run_bench", stub)
+    return specs
+
+
+@pytest.mark.parametrize(
+    "typed, named",
+    [
+        (["--m", "5", "--replications", "2"], "--replications, --m"),
+        (["--rep=2"], "--replications"),
+        (["--a", "1", "--q", "0.1", "--k", "10"], "--a, --q, --k"),
+        (["--m", "1000"], "--m"),
+    ],
+)
+def test_bench_paper_rejects_the_options_it_sets(tmp_path, capsys, ran_benches, typed, named):
+    # --paper used to run the reference spec while the manifest recorded the
+    # typed values, as if they had run
+    out = tmp_path / "bench"
+    assert main(["bench", "--paper", "--out", str(out), *typed]) == 1
+    assert capsys.readouterr().err == f"error: --paper sets {named}; type none of them with it\n"
+    assert ran_benches == [] and not out.exists()
+
+
+def test_bench_paper_manifest_records_the_spec_it_ran(tmp_path, ran_benches):
+    out = tmp_path / "bench"
+    assert main(["bench", "--paper", "--out", str(out), "--seed", "4"]) == 0
+    assert ran_benches == [reference_spec(seed=4)]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {
+        "out": str(out), "replications": 1500, "m": 1000, "a": 2.0, "q": 0.2,
+        "k_values": [10000], "seed": 4, "paper": True,
+    }
+    assert main(["bench", "--from-manifest", str(out / "manifest.json")]) == 0
+    assert ran_benches == [reference_spec(seed=4)] * 2
 
 
 # ----------------------------------------------------------------- validate
