@@ -325,6 +325,58 @@ def test_as_truth_keeps_a_bool_matrix_and_checks_numbers(tmp_path):
         as_truth(np.array([[1.0, 0.0], [0.5, 1.0]]), "truth")
 
 
+def check_simspec(path):
+    # the rule load_sim applied to a saved simspec.json before the rebuild
+    # gen_data(SimSpec(**read_json(path))) replaced it: the keys of SimSpec's
+    # fields, each typed like its default. files.check_settings keeps it.
+    defaults = {f.name: f.default for f in fields(SimSpec)}
+    files.check_settings(files.read_json(path), defaults, path)
+
+
+def edited_simspec(tmp_path, edit):
+    save_sim(gen_data(small_spec()), tmp_path)
+    path = tmp_path / "simspec.json"
+    d = json.loads(path.read_text())
+    check_simspec(path)  # the saved spec passes as written
+    edit(d)
+    path.write_text(json.dumps(d))
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda d: d.pop("sd_outlier_params"), "missing keys ['sd_outlier_params']"),
+        (lambda d: d.update(rate=0.1), "unknown keys ['rate']"),
+    ],
+)
+def test_load_sim_rejects_missing_or_unknown_spec_key(tmp_path, edit, named):
+    # a missing key must not fall back to its default, or the signal would
+    # come from a spec the data was not drawn from
+    path = edited_simspec(tmp_path, edit)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: missing keys")) as err:
+        check_simspec(path)
+    assert named in str(err.value)
+
+
+@pytest.mark.parametrize("field, value, named", [("m", "3", "field 'm': '3' is not an integer")])
+def test_load_sim_rejects_mistyped_spec_value(tmp_path, field, value, named):
+    path = edited_simspec(tmp_path, lambda d: d.update({field: value}))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {named}")):
+        check_simspec(path)
+
+
+def test_load_sim_rejects_a_spec_that_is_not_an_object(tmp_path):
+    # check_settings has no branch for a non-object any more: a JSON list is
+    # refused by the keys rule, as a set of unknown keys
+    save_sim(gen_data(small_spec()), tmp_path)
+    path = tmp_path / "simspec.json"
+    path.write_text("[3, 4]\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: missing keys")) as err:
+        check_simspec(path)
+    assert "unknown keys [3, 4]" in str(err.value)
+
+
 def test_files_is_a_leaf_and_the_only_module_that_imports_csv_or_json():
     # every file format lives in predfdr.files, which needs nothing else of
     # the package
