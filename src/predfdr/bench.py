@@ -20,6 +20,9 @@ __all__ = ["BenchSpec", "BenchRun", "BenchReport", "run_bench", "reference_spec"
 
 _METHODS = ("looped", "vectorized")
 
+# untimed calls of both selectors per grid size, read at call time
+_WARMUP = 5
+
 
 @dataclass(frozen=True)
 class BenchSpec:
@@ -31,10 +34,9 @@ class BenchSpec:
     q: float = 0.2
     k_values: Tuple[int, ...] = (10000,)
     seed: int = 0
-    warmup: int = 5
 
     def __post_init__(self) -> None:
-        for name, minimum in (("replications", 1), ("m", 1), ("seed", 0), ("warmup", 0)):
+        for name, minimum in (("replications", 1), ("m", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
         BfdrConfig(q=self.q, a=self.a)  # q and a follow the selector's rules
         object.__setattr__(self, "k_values", tuple(_integer(k, "k") for k in self.k_values))
@@ -97,7 +99,7 @@ def run_bench(spec: BenchSpec) -> BenchReport:
     rng = np.random.default_rng(spec.seed)
     for k in spec.k_values:
         cfg = BfdrConfig(q=spec.q, a=spec.a, k=k)
-        for _ in range(spec.warmup):
+        for _ in range(_WARMUP):
             batch = ScoreBatch(rng.random(spec.m))
             gbfdr_looped(batch, cfg)
             gbfdr_vectorized(batch, cfg)

@@ -78,55 +78,45 @@ def _check_capacity(m: int, k: int) -> None:
 class ScoreBatch:
     """Batch of per-item scores in [0, 1].
 
-    The batch holds a read-only copy of the scores, so what it derives from
-    them stays valid: the sorted scores, computed on first use, and the grid
-    blocks of the last grid size asked for.
+    The batch holds a read-only copy of the scores, their read-only sort by
+    numpy's unstable SIMD sort (equal scores are equal values, so only a
+    zero's sign may change, which no use of the sort tells apart), and the
+    grid blocks of the last grid size asked for.
     """
 
-    __slots__ = ("scores", "_sorted", "_blocks")
+    __slots__ = ("scores", "sorted_scores", "_blocks")
 
     def __init__(self, scores) -> None:
         arr = np.array(scores, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("ScoreBatch requires a nonempty 1-d score sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("ScoreBatch requires finite scores")
-        if np.any((arr < 0.0) | (arr > 1.0)):
-            raise ValueError("ScoreBatch requires scores in [0, 1]")
-        arr.flags.writeable = False
+        s = np.sort(arr)
+        if not (s[0] >= 0.0 and s[-1] <= 1.0):  # NaN sorts last
+            raise ValueError("ScoreBatch requires finite scores in [0, 1]")
+        arr.flags.writeable = s.flags.writeable = False
         self.scores = arr
-        self._sorted = None
+        self.sorted_scores = s
         self._blocks = None
-
-    def sorted_scores(self) -> np.ndarray:
-        """The scores in ascending order.
-
-        numpy's default (SIMD) sort, which is not stable: equal scores are
-        equal values, so only a zero may differ, coming back as -0.0 or 0.0
-        whatever its sign in the batch.  Every use of the sorted scores
-        (s - q, its sign, the grid search) treats the two alike.
-        """
-        if self._sorted is None:
-            s = np.sort(self.scores)
-            s.flags.writeable = False
-            self._sorted = s
-        return self._sorted
 
     def grid_blocks(self, k: int):
         """Blocks of the sorted scores that enter the grid l / k together.
 
-        Sorted score i is selected from grid index e_i = min{l : s_i <= l/k}
-        onward.  Returns (ends, lo): the last sorted position of each run of
-        equal e_i, and the run's e_i.  On the grid indices lo[b] ..
-        lo[b + 1] - 1 (.. k for the last block) the selected set is the
-        sorted scores through position ends[b].
+        Sorted score s is selected from grid index e = min{l : s <= l/k} on:
+        e is ceil(s*k), stepped once up where s > e/k and once down where
+        s <= (e-1)/k to match the float l / k the looped scan compares, which
+        one step does for k <= 2**50 (3 k u < 1).  Returns (ends, tops): the
+        last sorted position of each run of equal e, and the run's top grid
+        index (the next run's e - 1, or k); from e to tops[b] the selected
+        set is the sorted scores through position ends[b].
         """
         blocks = self._blocks
         if blocks is None or blocks[0] != k:
-            grid = np.arange(k + 1, dtype=float) / k
-            entry = np.searchsorted(grid, self.sorted_scores(), side="left")
+            s = self.sorted_scores
+            entry = np.ceil(s * k)
+            entry += s > entry / k
+            entry -= s <= (entry - 1.0) / k
             ends = np.flatnonzero(np.append(entry[1:] != entry[:-1], True))
-            blocks = self._blocks = (k, ends, entry[ends])
+            blocks = self._blocks = (k, ends, np.append(entry[ends[1:]] - 1.0, k))
         return blocks[1:]
 
     def __len__(self) -> int:
@@ -175,6 +165,8 @@ class BfdrConfig:
         if self.a < 0.0 or not math.isfinite(self.a):
             raise ValueError(f"a must be a finite number >= 0, got a={self.a!r}")
         object.__setattr__(self, "k", _integer(self.k, "k"))
+        if self.k > 2**50:  # ScoreBatch.grid_blocks is exact up to here
+            raise ValueError(f"k must be <= 2**50, got k={self.k!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {', '.join(ALGORITHMS)}")
 
@@ -286,8 +278,8 @@ def gbfdr_changepoint(batch: ScoreBatch, cfg: BfdrConfig) -> ThresholdResult:
     the looped scan would.
     """
     k = cfg.k
-    ends, lo = batch.grid_blocks(k)
-    w_sorted = _signed_power(batch.sorted_scores(), cfg.q, cfg.a)
+    ends, tops = batch.grid_blocks(k)
+    w_sorted = _signed_power(batch.sorted_scores, cfg.q, cfg.a)
     crit = np.cumsum(w_sorted)[ends]
     tol = (4.0 * w_sorted.size * _U) * np.cumsum(np.abs(w_sorted))[ends]
     w = None  # original-order terms, formed only for the exact fallback
@@ -295,9 +287,9 @@ def gbfdr_changepoint(batch: ScoreBatch, cfg: BfdrConfig) -> ThresholdResult:
         if crit[b] >= -tol[b]:
             if w is None:
                 w = _signed_power(batch.scores, cfg.q, cfg.a)
-            if _masked_sum(batch.scores, w, lo[b] / k) >= 0.0:
+            if _masked_sum(batch.scores, w, tops[b] / k) >= 0.0:
                 continue
-        l = int(lo[b + 1]) - 1 if b + 1 < lo.size else k
+        l = int(tops[b])
         return ThresholdResult(l / k, l, True)
     return _INFEASIBLE
 

@@ -51,11 +51,17 @@ def parse_level_grid(spec: str, option: str = "--q-grid"):
         base, _, expo = tok.partition("^")
         return _number(base, option, spec), _number(expo, option, spec, kind)
 
+    def raised(base: float, expo) -> float:
+        try:  # 0^-1 and 2^5000 raise, and float() refuses the complex (-8)^0.5
+            return float(base**expo)
+        except (ZeroDivisionError, OverflowError, TypeError):
+            what = f"{base!r}^{expo!r} has no finite real value"
+            raise ValueError(f"{option} {spec!r}: {what}") from None
+
     def one(tok: str) -> float:
         if "^" not in tok:
             return _number(tok, option, spec)
-        base, expo = power(tok)
-        return base ** expo
+        return raised(*power(tok))
 
     if ".." in spec:
         ends = spec.split("..")
@@ -65,7 +71,7 @@ def parse_level_grid(spec: str, option: str = "--q-grid"):
         if b1 != b2:
             raise ValueError(f"{option} {spec!r}: range endpoints must share a base")
         step = 1 if e2 >= e1 else -1
-        return [b1 ** e for e in range(e1, e2 + step, step)]
+        return [raised(b1, e) for e in range(e1, e2 + step, step)]
     return [one(tok) for tok in spec.split(",") if tok.strip()]
 
 

@@ -83,19 +83,27 @@ def bayes_rule(batch: ScoreBatch, params: LossParams) -> np.ndarray:
     return threshold_flags(batch.scores, params.c2, params.c1, "raw_score")
 
 
+def _derived_cost(value: float, name: str) -> float:
+    """A cost the algebra derived: finite, and >= 0 by the costs' rule;
+    ``name`` names the inputs it came from."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, not {value!r}")
+    return _cost(value, name)
+
+
 def c_algebra(eta: float, c1: float) -> float:
     """Flag cost c2 that makes the optimal rule's cutoff equal eta: (1+c1)*eta."""
-    return (1.0 + _cost(c1, "c1")) * eta
+    c2 = (1.0 + _cost(c1, "c1")) * eta
+    return _derived_cost(c2, f"c2 = (1 + c1) * eta (eta={eta!r}, c1={c1!r})")
 
 
 def c_algebra_inv(c2: float, eta: float) -> float:
-    """Miss cost c1 recovered from c2 and a nonzero cutoff eta."""
+    """Miss cost c1 recovered from c2 and a nonzero cutoff eta; c2 < eta
+    would need c1 < 0 and is refused."""
     if eta == 0.0:
         raise ValueError("eta must be nonzero to recover c1")
-    c1 = c2 / eta - 1.0
-    if not math.isfinite(c1):
-        raise ValueError("c1 is not finite for these inputs")
-    return c1
+    c1 = _cost(c2, "c2") / eta - 1.0
+    return _derived_cost(c1, f"c1 = c2 / eta - 1 (c2={c2!r}, eta={eta!r})")
 
 
 ORIENTATIONS = ("null_score", "raw_score")

@@ -75,17 +75,17 @@ def lagged_scores(
 
     Column ti of the result scores original timestep t = lag + ti using the
     posterior predictive fitted on values[:, t-lag:t]; the window never
-    includes the scored observation.  The result is filled in column chunks
-    of about 2**16 cells.  Within a chunk, window moments are taken one
-    timestep at a time over blocks of about 2**16 / lag series, so a block's
-    windows stay in cache across the chunk's timesteps; each series is still
+    includes the scored observation.  Window moments are taken over blocks
+    of about 2**16 / lag series, one timestep at a time across every
+    timestep, so a block's windows stay in cache; each series is still
     reduced on its own, so blocking does not change a digit.  Every window
-    has lag observations, so the t-CDF's dof is the same throughout and it
-    runs once per chunk, in place.
+    has lag observations, so the t-CDF's dof is the same throughout, and it
+    then runs in place over the whole result, in the fewest parts of at
+    most 2**16 cells, all of one size but a smaller last one.
     """
     vals = np.asarray(values, dtype=float)
-    if vals.ndim != 2:
-        raise ValueError("values must be (series, timesteps)")
+    if vals.ndim != 2 or vals.shape[0] == 0:
+        raise ValueError("values must be (series, timesteps), with at least one series")
     if not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite")
     m, t_len = vals.shape
@@ -93,17 +93,18 @@ def lagged_scores(
     if lag >= t_len:
         raise ValueError("lag must satisfy 0 < lag < t_len")
     out = np.empty((m, t_len - lag))
-    step = max(1, _CDF_CELLS // m)
     rows = max(1, _CDF_CELLS // lag)
-    for c_lo in range(lag, t_len, step):
-        z = out[:, c_lo - lag : c_lo + step - lag]
-        for r0 in range(0, m, rows):
-            block = vals[r0 : r0 + rows]
-            for t in range(c_lo, c_lo + z.shape[1]):
-                z[r0 : r0 + rows, t - c_lo], dof = _window_z(
-                    prior, block[:, t - lag : t], block[:, t]
-                )
-        z[...] = _z_scores(z, dof, two_sided)
+    for r0 in range(0, m, rows):
+        block = vals[r0 : r0 + rows]
+        for t in range(lag, t_len):
+            out[r0 : r0 + rows, t - lag], dof = _window_z(
+                prior, block[:, t - lag : t], block[:, t]
+            )
+    z = out.reshape(-1)
+    parts = -(-z.size // _CDF_CELLS)
+    part = -(-z.size // parts)
+    for lo in range(0, z.size, part):
+        z[lo : lo + part] = _z_scores(z[lo : lo + part], dof, two_sided)
     return out
 
 

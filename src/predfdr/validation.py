@@ -38,8 +38,8 @@ class CheckResult:
 
 
 def _check_selector_equivalence(rng, n_batches: int) -> CheckResult:
-    # every level runs on the same batch, so after the first the change-point
-    # route reads the sort and grid blocks the batch cached
+    # every level runs on the same batch, sorted once when it was built, so
+    # after the first the change-point route reads the grid blocks it cached
     levels = (0.2, 0.05, 2.0**-8)
     for i in range(n_batches):
         m = int(rng.choice([5, 50, 500]))

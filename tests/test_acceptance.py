@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from predfdr import bench
 from predfdr.bench import BenchSpec, reference_spec, run_bench
 from predfdr.bfdr import (
     BfdrConfig,
@@ -266,7 +267,7 @@ def test_criterion_7_cdf_quadrature_and_conjugacy():
     )
 
 
-def test_criterion_8_benchmark_reference_and_scaling():
+def test_criterion_8_benchmark_reference_and_scaling(monkeypatch):
     """The reference benchmark completes with zero selector mismatches and
     both implementations scale near-linearly in the grid size."""
     t0 = time.perf_counter()
@@ -276,6 +277,7 @@ def test_criterion_8_benchmark_reference_and_scaling():
     assert len(ref.runs) == 2 * 1500
     assert all(row["mean"] > 0.0 for row in summary.values())
 
+    monkeypatch.setattr(bench, "_WARMUP", 3)
     sweep = run_bench(
         BenchSpec(
             replications=15,
@@ -284,7 +286,6 @@ def test_criterion_8_benchmark_reference_and_scaling():
             q=0.2,
             k_values=(100, 500, 1000, 5000, 10000, 50000),
             seed=1,
-            warmup=3,
         )
     )
     med = sweep.median_seconds()

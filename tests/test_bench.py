@@ -1,9 +1,11 @@
 """Benchmark harness: bookkeeping, determinism of results, CSV output."""
 import csv
 import re
+from dataclasses import fields
 
 import pytest
 
+from predfdr import bench
 from predfdr.bench import (
     BenchReport,
     BenchRun,
@@ -15,8 +17,13 @@ from predfdr.bfdr import CapacityError
 from predfdr.files import write_bench_csv
 
 
+@pytest.fixture(autouse=True)
+def one_warmup(monkeypatch):
+    monkeypatch.setattr(bench, "_WARMUP", 1)
+
+
 def tiny_spec(**kw):
-    base = dict(replications=6, m=40, a=2.0, q=0.2, k_values=(20, 50), seed=0, warmup=1)
+    base = dict(replications=6, m=40, a=2.0, q=0.2, k_values=(20, 50), seed=0)
     base.update(kw)
     return BenchSpec(**base)
 
@@ -51,7 +58,6 @@ def test_spec_validation():
     for kw, named in [
         ({"replications": 1.5}, "integer replications, got replications=1.5"),
         ({"m": 2.5}, "integer m, got m=2.5"),
-        ({"warmup": 0.5}, "integer warmup, got warmup=0.5"),
         ({"seed": -1}, "seed >= 0, got seed=-1"),
         ({"q": 1.5}, "q must lie in (0, 1), got q=1.5"),
         ({"q": 0.0}, "q must lie in (0, 1), got q=0.0"),
@@ -60,6 +66,19 @@ def test_spec_validation():
     ]:
         with pytest.raises(ValueError, match=re.escape(named)):
             tiny_spec(**kw)
+
+
+def test_warmup_is_a_module_constant_read_at_call_time(monkeypatch):
+    # warmup is no spec field: only tests set it, and the CLI, the reference
+    # spec and the benchmarks all ran 5
+    assert "warmup" not in {f.name for f in fields(BenchSpec)}
+    assert bench._WARMUP == 1  # set by the autouse fixture
+    calls = []
+    looped = bench.gbfdr_looped
+    monkeypatch.setattr(bench, "gbfdr_looped", lambda *a: calls.append(a) or looped(*a))
+    monkeypatch.setattr(bench, "_WARMUP", 2)
+    run_bench(tiny_spec())
+    assert len(calls) == 2 * (2 + 6)  # k values x (warm-ups + replications)
 
 
 def test_reference_spec_frozen():

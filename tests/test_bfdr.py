@@ -1,4 +1,5 @@
 """Threshold selector behaviour: frozen cases, route equivalence, MC oracle."""
+import bisect
 import re
 
 import numpy as np
@@ -33,6 +34,11 @@ def as_tuple(res: ThresholdResult):
 def test_score_batch_validation():
     with pytest.raises(ValueError):
         ScoreBatch([])
+    # one range check on the sort rejects NaN, infinities and scores
+    # outside [0, 1]
+    for bad in (np.nan, np.inf, -np.inf, 1.0 + 2**-52, -(2.0**-1074)):
+        with pytest.raises(ValueError, match=re.escape("finite scores in [0, 1]")):
+            ScoreBatch([0.5, bad, 0.25])
     with pytest.raises(ValueError):
         ScoreBatch([[0.1, 0.2]])
     with pytest.raises(ValueError):
@@ -61,6 +67,10 @@ def test_bfdr_config_validation():
         BfdrConfig(q=0.1, k=0)
     with pytest.raises(ValueError):
         BfdrConfig(q=0.1, algorithm="magic")
+    # beyond 2**50 one step no longer corrects ceil(s * k) to the grid entry
+    assert BfdrConfig(q=0.1, k=2**50).k == 2**50
+    with pytest.raises(ValueError, match=re.escape(f"got k={2**50 + 1}")):
+        BfdrConfig(q=0.1, k=2**50 + 1)
 
 
 @pytest.mark.parametrize("k", [2.5, 10.0, "10", None])
@@ -122,7 +132,7 @@ def test_score_batch_keeps_its_own_read_only_scores():
     with pytest.raises(ValueError):
         batch.scores[0] = 0.0
     with pytest.raises(ValueError):
-        batch.sorted_scores()[0] = 0.0
+        batch.sorted_scores[0] = 0.0
 
 
 # ------------------------------------------------------------- frozen cases
@@ -237,6 +247,27 @@ def test_all_routes_identical_on_adversarial_batches(case):
     assert as_tuple(gbfdr_changepoint(batch, cfg)) == want
 
 
+@pytest.mark.parametrize("k", [1, 3, 25, 1000, 2**40, 2**50 - 1, 2**50])
+def test_grid_blocks_match_the_entry_definition(k):
+    # entry e = min{l : s <= l / k} by bisection over Python's exact l / k,
+    # for scores on, just below and just above grid points (every one up to
+    # k = 1000: ceil(s * k) needs a step up at k = 3 and 1000 and a step down
+    # at k = 25); every run of equal e must be one block, topped one below
+    # the next run's e
+    rng = np.random.default_rng(k % 1000)
+    ls = range(k + 1) if k <= 1000 else {0, 1, k - 1, k, *map(int, rng.integers(0, k + 1, 200))}
+    on_grid = [l / k for l in ls]
+    near = [float(np.nextafter(v, d)) for v in on_grid for d in (-1.0, 2.0)]
+    scores = [v for v in on_grid + near + list(rng.random(20)) if 0.0 <= v <= 1.0]
+    batch = ScoreBatch(scores)
+    s = batch.sorted_scores.tolist()
+    entry = [bisect.bisect_left(range(k + 1), True, key=lambda l: v <= l / k) for v in s]
+    ends, tops = batch.grid_blocks(k)
+    runs = [i for i in range(len(s)) if i + 1 == len(s) or entry[i + 1] != entry[i]]
+    assert ends.tolist() == runs
+    assert tops.tolist() == [entry[i + 1] - 1 for i in runs[:-1]] + [k]
+
+
 def assert_sorted_permutation(sorted_scores, scores):
     # ascending and the same multiset of values; a zero may come back with
     # either sign (the SIMD sort's min and max of -0.0 and 0.0 return one
@@ -258,7 +289,7 @@ def test_signed_zeros_and_ties_select_as_looped():
     for size in (1, 2, 5, 17, 64, 300):
         scores = rng.choice(pool, size)
         batch = ScoreBatch(scores)
-        assert_sorted_permutation(batch.sorted_scores(), scores)
+        assert_sorted_permutation(batch.sorted_scores, scores)
         for k in (1, 4, 8, 100, 1000):
             for a in (0.0, 0.5, 1.0, 2.0):
                 cfg = BfdrConfig(q=q, a=a, k=k)
@@ -292,7 +323,7 @@ def test_shared_batch_selects_as_fresh_batches(case):
     # reads the sort and blocks an earlier call left in the batch
     scores, levels, ks = case
     shared = ScoreBatch(scores)
-    assert_sorted_permutation(shared.sorted_scores(), scores)
+    assert_sorted_permutation(shared.sorted_scores, scores)
     for k in ks:
         for q, a in levels:
             cfg = BfdrConfig(q=q, a=a, k=k)

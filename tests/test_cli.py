@@ -61,11 +61,20 @@ def test_parse_level_grid_errors():
         ("2^-1..2^-1.5", "--q-grid '2^-1..2^-1.5': '-1.5' is not an integer"),
         ("2^-1..2^-3..2^-4", "--q-grid '2^-1..2^-3..2^-4': a range is two base^exponent"),
         ("0.1,abc", "--q-grid '0.1,abc': 'abc' is not a number"),
+        # powers that fail in arithmetic used to escape as ZeroDivisionError,
+        # OverflowError or a complex level
+        ("0^-1", "--q-grid '0^-1': 0.0^-1.0 has no finite real value"),
+        ("2^5000", "--q-grid '2^5000': 2.0^5000.0 has no finite real value"),
+        ("2^1..2^2000", "--q-grid '2^1..2^2000': 2.0^1024 has no finite real value"),
+        ("0^-1..0^-2", "--q-grid '0^-1..0^-2': 0.0^-1 has no finite real value"),
+        ("0.5,-8^0.5", "--q-grid '0.5,-8^0.5': -8.0^0.5 has no finite real value"),
     ]:
         with pytest.raises(ValueError, match=re.escape(expect)):
             parse_level_grid(spec)
     with pytest.raises(ValueError, match=re.escape("--baseline-etas '2^x': 'x' is not a number")):
         parse_level_grid("2^x", "--baseline-etas")
+    with pytest.raises(ValueError, match=re.escape("--baseline-etas '0^-1': 0.0^-1.0 has no")):
+        parse_level_grid("0^-1", "--baseline-etas")
 
 
 # ---------------------------------------------------------------- simulate
@@ -163,6 +172,20 @@ def test_detect_end_to_end(tmp_path, capsys):
     assert np.all((scores >= 0.0) & (scores <= 1.0))
 
 
+def test_detect_on_a_trillion_step_grid(tmp_path):
+    # the selector builds no (k + 1)-value grid, which at k = 10**12 would
+    # take 8 TB; BfdrConfig caps k at 2**50
+    sim = tmp_path / "sim"
+    out = tmp_path / "det"
+    assert main(["simulate", "--out", str(sim), "--m", "12", "--t", "60", "--lag", "8"]) == 0
+    assert main(detect_argv(sim, out, ["--k", "1000000000000"])) == 0
+    for name in ("scores.csv", "thresholds.csv", "flags.csv", "metrics.csv", "diff.csv"):
+        assert (out / name).exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["k"] == 10**12
+    assert main(detect_argv(sim, tmp_path / "big", ["--k", str(2**50 + 1)])) == 1
+
+
 def test_detect_without_truth_warns_and_skips_metrics(tmp_path, capsys):
     sim = tmp_path / "sim"
     out = tmp_path / "det"
@@ -238,6 +261,13 @@ def test_detect_mismatched_truth_shape(tmp_path):
         pytest.param(
             "--baseline-etas", "2^x", "--baseline-etas '2^x': 'x' is not a number",
             id="baseline-etas=2^x",
+        ),
+        pytest.param(
+            "--q-grid", "0^-1", "--q-grid '0^-1': 0.0^-1.0 has no finite real value", id="0^-1"
+        ),
+        pytest.param(
+            "--baseline-etas", "0^-1", "--baseline-etas '0^-1': 0.0^-1.0 has no finite real value",
+            id="baseline-etas=0^-1",
         ),
         pytest.param(
             "--prior", "0,x,1,1", "--prior '0,x,1,1': 'x' is not a number", id="prior=0,x,1,1"

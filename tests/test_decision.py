@@ -1,4 +1,6 @@
 """Loss accounting, the closed-form optimal rule, and threshold coupling."""
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,26 @@ def test_c_algebra_roundtrip():
     for c1 in (-1.0, np.nan):
         with pytest.raises(ValueError):
             c_algebra(0.5, c1)
+
+
+@pytest.mark.parametrize(
+    "algebra, args, named",
+    [
+        # c2 < eta would need c1 < 0
+        (c_algebra_inv, (0.2, 0.5), "c1 = c2 / eta - 1 (c2=0.2, eta=0.5) must be >= 0, not -0.6"),
+        (c_algebra_inv, (-1.0, 0.5), "c2 must be >= 0, not -1.0"),
+        (c_algebra_inv, (0.5, -0.5), "(c2=0.5, eta=-0.5) must be >= 0, not -2.0"),
+        (c_algebra_inv, (0.5, 1e-320), "(c2=0.5, eta=1e-320) must be finite, not inf"),
+        (c_algebra, (np.nan, 0.5), "c2 = (1 + c1) * eta (eta=nan, c1=0.5) must be finite, not nan"),
+        (c_algebra, (-0.5, 0.5), "(eta=-0.5, c1=0.5) must be >= 0, not -0.75"),
+        (c_algebra, (np.inf, 0.5), "(eta=inf, c1=0.5) must be finite, not inf"),
+    ],
+)
+def test_c_algebra_returns_only_finite_costs(algebra, args, named):
+    # each used to return a cost LossParams rejects: -0.6, -3.0, -2.0, inf,
+    # nan, -0.75, inf
+    with pytest.raises(ValueError, match=re.escape(named)):
+        algebra(*args)
 
 
 def test_threshold_flags_null_score_mapping():

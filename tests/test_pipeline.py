@@ -63,23 +63,27 @@ def test_lagged_scores_match_composed_route(panel):
 
 @pytest.mark.parametrize("two_sided", [False, True])
 def test_lagged_scores_chunks_match_per_column_scores(panel, monkeypatch, two_sided):
-    # 36 cells make 3-column chunks over 12 series, so the 52 columns end on
-    # a 1-column chunk
+    # the t-CDF runs over the 12 x 52 = 624 standardised cells in row-major
+    # order: 36 cells per call allow 18 parts, so 17 of 35 cells and a last
+    # one of 29, which cover every cell once
     lag = 8
-    cells = []
+    parts = []
     cdf = special.student_t_cdf
     monkeypatch.setattr(pipeline, "_CDF_CELLS", 36)
     monkeypatch.setattr(
-        special, "student_t_cdf", lambda z, *a: cells.append(np.size(z)) or cdf(z, *a)
+        special, "student_t_cdf", lambda z, *a: parts.append(np.array(z)) or cdf(z, *a)
     )
     scores = lagged_scores(panel.values, DIFFUSE_PRIOR, lag, two_sided=two_sided)
-    assert cells == [36] * 17 + [12]
+    assert [p.size for p in parts] == [35] * 17 + [29]
     monkeypatch.setattr(special, "student_t_cdf", cdf)
+    z = np.empty_like(scores)
     expect = np.empty_like(scores)
     for t in range(lag, 60):
-        expect[:, t - lag] = _z_scores(
-            *_window_z(DIFFUSE_PRIOR, panel.values[:, t - lag : t], panel.values[:, t]), two_sided
+        z[:, t - lag], dof = _window_z(
+            DIFFUSE_PRIOR, panel.values[:, t - lag : t], panel.values[:, t]
         )
+        expect[:, t - lag] = _z_scores(z[:, t - lag], dof, two_sided)
+    assert np.concatenate(parts).tobytes() == z.tobytes()
     assert np.array_equal(scores, expect)
 
 
@@ -87,8 +91,7 @@ def test_lagged_scores_chunks_match_per_column_scores(panel, monkeypatch, two_si
 @pytest.mark.parametrize("two_sided", [False, True])
 def test_lagged_scores_row_blocks_cover_every_series_once(monkeypatch, two_sided, tail):
     # 36 cells and lag 8 make moment blocks of 4 series, so 12 + tail series
-    # end on a partial block of tail; 36 // 13 and 36 // 14 make 2-column
-    # chunks
+    # end on a partial block of tail
     lag = 8
     m = 12 + tail
     vals = np.ascontiguousarray(
@@ -140,6 +143,9 @@ def test_lagged_scores_in_unit_interval(panel):
 def test_lagged_scores_validation():
     with pytest.raises(ValueError):
         lagged_scores(np.zeros(5), DIFFUSE_PRIOR, 2)
+    # a panel of no series used to divide by zero
+    with pytest.raises(ValueError, match="at least one series"):
+        lagged_scores(np.zeros((0, 5)), DIFFUSE_PRIOR, 2)
     with pytest.raises(ValueError):
         lagged_scores(np.zeros((2, 5)), DIFFUSE_PRIOR, 5)
     bad = np.zeros((2, 5))
