@@ -5,13 +5,15 @@ series, t=2000, lag 30) and runs CLI ``detect`` on it with every other
 option at its default, each in a fresh interpreter.  The two trees run in
 alternating order, ``--runs`` rounds of one run each.  The report holds each
 run's wall time and peak RSS, the summed wall time of the stages
-``predfdr.cli`` calls, their medians per side, and a byte comparison of every
-file written against the parent's first run.  Runs use relative paths, so
-manifests compare too.
+``predfdr.cli`` calls (those of ``STAGES`` the tree's ``predfdr.cli`` has),
+their medians per side, and a byte comparison of every file written against
+the parent's first run.  Runs use relative paths, so manifests compare too.
 
 The two runs of a round share the host's load of the moment, so the report
-also pairs them: per round, the change/parent ratio of wall time and of peak
-RSS, the median of those ratios, and the number of rounds the change won.
+also pairs them: per round, the change/parent ratio of wall time, of peak
+RSS and of each stage both trees time, and of ``csv_loads``, the summed
+time of the ``load_*`` stages (every CSV read); the median of those ratios,
+and the number of rounds the change won.
 On a shared host the per-side medians can drift by more than a change moves
 them; the paired ratios resolve what those medians cannot.
 
@@ -39,14 +41,21 @@ import numpy as np
 CHECKOUT = Path(__file__).resolve().parents[1]
 SIMULATE = ["simulate", "--out", "sim", "--seed", "0"]
 DETECT = ["detect", "--data", "sim/data.csv", "--truth", "sim/truth.csv", "--out", "det"]
-STAGES = ("load_matrix_csv", "lagged_scores", "detect", "write_scores_csv", "write_report")
+STAGES = (
+    "load_matrix_csv",
+    "load_truth_csv",
+    "lagged_scores",
+    "detect",
+    "write_scores_csv",
+    "write_report",
+)
 
 # Runs one subcommand in this interpreter and prints its wall time, peak RSS
 # and, for detect, the summed wall time of each stage predfdr.cli calls.
 DRIVER = """
 import json, resource, sys, time
 from predfdr import cli
-stages = {name: 0.0 for name in %r}
+stages = {name: 0.0 for name in %r if hasattr(cli, name)}
 
 def timed(name, fn):
     def call(*args, **kwargs):
@@ -99,7 +108,7 @@ def _one_run(tree: Path, cwd: Path) -> dict:
     return {
         "wall_s": round(det["wall_s"], 3),
         "peak_rss_mb": round(det["peak_rss_mb"], 1),
-        "stages_s": {k: round(v, 3) for k, v in det["stages_s"].items()},
+        "stages_s": {k: round(v, 4) for k, v in det["stages_s"].items()},
         "simulate": {
             "wall_s": round(sim["wall_s"], 3),
             "peak_rss_mb": round(sim["peak_rss_mb"], 1),
@@ -114,7 +123,7 @@ def _median(runs: list) -> dict:
     return {
         "wall_s": med(lambda r: r["wall_s"], 3),
         "peak_rss_mb": med(lambda r: r["peak_rss_mb"], 1),
-        "stages_s": {s: med(lambda r: r["stages_s"][s], 3) for s in STAGES},
+        "stages_s": {s: med(lambda r: r["stages_s"][s], 4) for s in runs[0]["stages_s"]},
         "simulate": {
             "wall_s": med(lambda r: r["simulate"]["wall_s"], 3),
             "peak_rss_mb": med(lambda r: r["simulate"]["peak_rss_mb"], 1),
@@ -123,17 +132,29 @@ def _median(runs: list) -> dict:
 
 
 def _paired(runs: dict) -> dict:
-    """Per round, the change's wall time and peak RSS over the parent's; the
-    median ratio, and the rounds the change won (a ratio below 1)."""
-    paired = {}
-    for key in ("wall_s", "peak_rss_mb"):
-        ratios = [c[key] / p[key] for p, c in zip(runs["parent"], runs["change"])]
-        paired[key] = {
+    """Per round, the change's wall time, peak RSS and time in each stage
+    over the parent's; the median ratio, and the rounds the change won (a
+    ratio below 1).  Stages are those both trees time, and csv_loads."""
+    rounds = list(zip(runs["parent"], runs["change"]))
+
+    def pair(get) -> dict:
+        ratios = [get(c) / get(p) for p, c in rounds]
+        return {
             "change_over_parent": [round(r, 4) for r in ratios],
             "median_ratio": round(statistics.median(ratios), 4),
             "rounds_change_won": sum(r < 1.0 for r in ratios),
         }
-    return paired
+
+    def csv_loads(run: dict) -> float:
+        return sum(v for name, v in run["stages_s"].items() if name.startswith("load_"))
+
+    parent, change = (side["stages_s"] for side in rounds[0])
+    stages = {s: pair(lambda r, s=s: r["stages_s"][s]) for s in change if s in parent}
+    return {
+        "wall_s": pair(lambda r: r["wall_s"]),
+        "peak_rss_mb": pair(lambda r: r["peak_rss_mb"]),
+        "stages_s": {**stages, "csv_loads": pair(csv_loads)},
+    }
 
 
 def _files(root: Path) -> list:
@@ -184,7 +205,8 @@ def main(argv=None) -> int:
             "timing": (
                 "wall_s is main() end to end in a fresh interpreter; each stage is the summed "
                 "wall time of the calls predfdr.cli makes to it (load_matrix_csv covers "
-                "data.csv and truth.csv), timed by wrapping those module attributes; "
+                "data.csv, and truth.csv too where the tree has no load_truth_csv), timed by "
+                "wrapping those module attributes; "
                 "peak_rss_mb is resource.getrusage(RUSAGE_SELF).ru_maxrss of that interpreter; "
                 "simulate is timed the same way in an interpreter of its own"
             ),
@@ -194,8 +216,10 @@ def main(argv=None) -> int:
             ),
             "runs": f"{args.runs} per side, in {args.runs} rounds alternating the order ({order})",
             "paired": (
-                "per round, the change's wall_s and peak_rss_mb over the parent's in the same "
-                "round; the median of those ratios, and the rounds the change won (ratio < 1)"
+                "per round, the change's wall_s, peak_rss_mb and time in each stage both trees "
+                "time over the parent's in the same round (csv_loads sums the load_* stages, "
+                "every CSV read); the median of those ratios, and the rounds the change won "
+                "(ratio < 1)"
             ),
             "outputs": (
                 f"the {len(names)} files of every run (simulate's and detect's, manifests "

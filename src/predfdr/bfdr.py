@@ -16,7 +16,8 @@ Three routes compute the generalised selector and return identical results:
 - ``gbfdr_changepoint``, the production route: the selected set only changes
   where a score enters the grid, so it takes prefix sums over the sorted
   scores, and evaluates the looped scan's own masked sum only where rounding
-  could flip the criterion's sign.
+  could flip the criterion's sign: where a prefix sum lies within one
+  summation-order bound, taken once per batch, of zero.
 
 The sort and the grid's block structure belong to the batch, not to a call:
 a ``ScoreBatch`` sorts its scores once and keeps the blocks of the last grid
@@ -271,20 +272,24 @@ def gbfdr_changepoint(batch: ScoreBatch, cfg: BfdrConfig) -> ThresholdResult:
     forming them on the sorted scores gives the looped scan's terms bit for
     bit.  Any two summation orders of the same n terms differ by at most
     2 gamma_(n-1) sum|w| (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 4), which tol = 4 m u sum|w| bounds, so P < -tol and
-    P > tol fix the sign the looped scan sees; only a block with |P| <= tol
-    evaluates the looped scan's own masked sum.  Blocks are walked from the
-    top and the first negative one is returned at its largest grid index, as
-    the looped scan would.
+    Algorithms*, ch. 4).  A block's terms are a subset of the batch's, so one
+    tolerance per batch, tol = 4 m u sum|d|^a with d = s - q, bounds that
+    difference for every block (|w| = |d|^a, and 0 <= 1 = |d|^0 where d = 0
+    and a = 0); P < -tol and P > tol fix the sign the looped scan sees, and
+    only a block with |P| <= tol evaluates the looped scan's own masked sum.
+    Blocks are walked from the top and the first negative one is returned at
+    its largest grid index, as the looped scan would.
     """
     k = cfg.k
     ends, tops = batch.grid_blocks(k)
-    w_sorted = _signed_power(batch.sorted_scores, cfg.q, cfg.a)
-    crit = np.cumsum(w_sorted)[ends]
-    tol = (4.0 * w_sorted.size * _U) * np.cumsum(np.abs(w_sorted))[ends]
+    # the terms _signed_power forms, bit for bit, and the sum of their magnitudes
+    d = batch.sorted_scores - cfg.q
+    mag = np.power(np.abs(d), cfg.a)
+    crit = (np.sign(d) * mag).cumsum()[ends]
+    tol = 4.0 * d.size * _U * float(mag.sum())
     w = None  # original-order terms, formed only for the exact fallback
     for b in np.flatnonzero(crit <= tol)[::-1]:
-        if crit[b] >= -tol[b]:
+        if crit[b] >= -tol:
             if w is None:
                 w = _signed_power(batch.scores, cfg.q, cfg.a)
             if _masked_sum(batch.scores, w, tops[b] / k) >= 0.0:

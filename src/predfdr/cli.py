@@ -16,7 +16,7 @@ from . import __version__
 from .bfdr import BfdrConfig
 from .bench import BenchSpec, reference_spec, run_bench
 from .decision import ORIENTATIONS
-from .files import as_finite, as_truth, check_settings, load_matrix_csv, read_json
+from .files import as_finite, check_settings, load_matrix_csv, load_truth_csv, read_json
 # the matrix writer keeps the name perfbench/spans.py hooks
 from .files import write_bench_csv, write_json, write_matrix_csv as write_scores_csv, write_report
 from .pipeline import DIFFUSE_PRIOR, DetectConfig, detect, lagged_scores
@@ -146,10 +146,9 @@ def _run_detect(config: dict) -> int:
     values = as_finite(load_matrix_csv(config["data"]), config["data"])
     truth = None
     if config["truth"]:
-        truth = load_matrix_csv(config["truth"])
+        truth = load_truth_csv(config["truth"])
         if truth.shape != values.shape:
             raise ValueError("truth matrix must match data shape")
-        truth = as_truth(truth, config["truth"])
     else:
         print("no truth supplied; metrics.csv and diff.csv will be skipped", file=sys.stderr)
     scores = lagged_scores(values, prior, lag, two_sided=config["two_sided"])

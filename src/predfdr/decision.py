@@ -25,10 +25,12 @@ __all__ = [
 
 
 def _cost(value, name: str):
-    """``value`` itself when it is >= 0, else a ValueError naming it (NaN
-    included): the one rule for the loss costs."""
+    """``value`` itself when it is a finite number >= 0, else a ValueError
+    naming it (NaN and inf included): the one rule for the loss costs."""
     if not value >= 0.0:
         raise ValueError(f"{name} must be >= 0, not {value!r}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, not {value!r}")
     return value
 
 
@@ -83,18 +85,10 @@ def bayes_rule(batch: ScoreBatch, params: LossParams) -> np.ndarray:
     return threshold_flags(batch.scores, params.c2, params.c1, "raw_score")
 
 
-def _derived_cost(value: float, name: str) -> float:
-    """A cost the algebra derived: finite, and >= 0 by the costs' rule;
-    ``name`` names the inputs it came from."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, not {value!r}")
-    return _cost(value, name)
-
-
 def c_algebra(eta: float, c1: float) -> float:
     """Flag cost c2 that makes the optimal rule's cutoff equal eta: (1+c1)*eta."""
     c2 = (1.0 + _cost(c1, "c1")) * eta
-    return _derived_cost(c2, f"c2 = (1 + c1) * eta (eta={eta!r}, c1={c1!r})")
+    return _cost(c2, f"c2 = (1 + c1) * eta (eta={eta!r}, c1={c1!r})")
 
 
 def c_algebra_inv(c2: float, eta: float) -> float:
@@ -103,7 +97,7 @@ def c_algebra_inv(c2: float, eta: float) -> float:
     if eta == 0.0:
         raise ValueError("eta must be nonzero to recover c1")
     c1 = _cost(c2, "c2") / eta - 1.0
-    return _derived_cost(c1, f"c1 = c2 / eta - 1 (c2={c2!r}, eta={eta!r})")
+    return _cost(c1, f"c1 = c2 / eta - 1 (c2={c2!r}, eta={eta!r})")
 
 
 ORIENTATIONS = ("null_score", "raw_score")
@@ -127,7 +121,7 @@ def threshold_flags(rates, eta, c1: float = 0.0, orientation: str = "null_score"
     scale (eta_r = 1 - eta under the default null-score orientation) before
     the strict comparison r > eta_r / (1 + c1).  A NaN or None threshold is
     infeasible and flags nothing, since r > NaN is False.  The miss cost c1
-    must be a number >= 0.
+    must be a finite number >= 0.
     """
     _cost(c1, "c1")
     eta_r = orient(np.asarray(eta, dtype=float), orientation)

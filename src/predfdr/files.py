@@ -16,27 +16,35 @@ METRIC_NAMES = ("precision", "recall", "accuracy", "balanced_accuracy")
 # cells per block of rows in the writers that build bytes from an array (truth.csv
 # and flags.csv): bounds a dense block's buffers, and does not change the bytes
 _WRITE_CELLS = 2**16
+# cells per block of rows formatted by one % operation in the float writer
+_FORMAT_CELLS = 2**12
 
 
 def write_matrix_csv(mat: np.ndarray, path, t_offset: int = 0) -> None:
     """Write a (series, timestep) matrix as load_matrix_csv reads it: a header
     row t<t_offset>, t<t_offset + 1>, ..., then one row per series with each
-    cell in %.17g (0 and 1 for bools); LF line ends.
+    cell in %.17g (0 and 1 for bools); LF line ends.  These are the bytes
+    np.savetxt(fmt="%.17g", delimiter=",") writes.
 
-    A bool matrix is written as those 0/1 bytes built from the array, a block
-    of rows of about 2**16 cells at a time, rather than formatted cell by
-    cell."""
-    header = ",".join(f"t{t_offset + i}" for i in range(mat.shape[1]))
-    if mat.dtype != bool:
-        np.savetxt(path, mat, fmt="%.17g", delimiter=",", header=header, comments="")
-        return
-    rows = max(1, _WRITE_CELLS // mat.shape[1])
-    # each cell is a digit and a separator: a comma, or LF after the last
-    line = np.full((min(rows, mat.shape[0]), 2 * mat.shape[1]), ord(","), dtype=np.uint8)
-    line[:, -1] = ord("\n")
+    Floats are formatted a block of rows of about 2**12 cells at a time, by
+    one % operation on the block's cells; a bool matrix is written as the
+    0/1 bytes built from the array, a block of rows of about 2**16 cells at a
+    time, rather than formatted cell by cell."""
+    m, n = mat.shape
     with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for r0 in range(0, mat.shape[0], rows):
+        fh.write(",".join(f"t{t_offset + i}" for i in range(n)).encode() + b"\n")
+        if mat.dtype != bool:
+            rows = max(1, _FORMAT_CELLS // n)
+            line = ",".join(["%.17g"] * n) + "\n"
+            for r0 in range(0, m, rows):
+                block = mat[r0 : r0 + rows]
+                fh.write(((line * len(block)) % tuple(block.ravel().tolist())).encode())
+            return
+        rows = max(1, _WRITE_CELLS // n)
+        # each cell is a digit and a separator: a comma, or LF after the last
+        line = np.full((min(rows, m), 2 * n), ord(","), dtype=np.uint8)
+        line[:, -1] = ord("\n")
+        for r0 in range(0, m, rows):
             block = mat[r0 : r0 + rows]
             text = line[: block.shape[0]]
             np.add(block, ord("0"), out=text[:, ::2], dtype=np.uint8)
@@ -113,6 +121,28 @@ def load_matrix_csv(path) -> np.ndarray:
                 f"cells, the header has {width}"
             )
     return np.array([[_cell_value(c) for c in row] for row in rows[1:]])
+
+
+def load_truth_csv(path) -> np.ndarray:
+    """``as_truth(load_matrix_csv(path), path)``: the same bool matrix or the
+    same error, read as an array of bytes when the file has the layout
+    write_matrix_csv writes for a bool matrix: an ASCII header with no quote,
+    CR or NUL, then rows 'd,d,...,d' of the header's width, d in {0, 1}, each
+    ending in LF."""
+    head, _, body = Path(path).read_bytes().partition(b"\n")
+    # each cell is a digit and a separator: a comma, or LF after the last
+    line = 2 * (head.count(b",") + 1)
+    plain = head.isascii() and not any(c in head for c in (b'"', b"\r", b"\0"))
+    if plain and head and body and len(body) % line == 0:
+        cells = np.frombuffer(body, dtype=np.uint8).reshape(-1, line)
+        digits, seps = cells[:, ::2], cells[:, 1::2]
+        if (
+            (seps[:, :-1] == ord(",")).all()
+            and (seps[:, -1] == ord("\n")).all()
+            and (digits - np.uint8(ord("0")) <= 1).all()
+        ):
+            return digits == ord("1")
+    return as_truth(load_matrix_csv(path), path)
 
 
 def _cell_value(cell: str) -> float:

@@ -7,6 +7,7 @@ counts and classification metrics when truth is available.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -82,20 +83,30 @@ def lagged_scores(
     has lag observations, so the t-CDF's dof is the same throughout, and it
     then runs in place over the whole result, in the fewest parts of at
     most 2**16 cells, all of one size but a smaller last one.
+
+    Every cell must be finite, with lag (2|x|)^2 (nu + lag + 1) at most half
+    the largest float, so no window's moments or predictive scale overflow
+    (into a score of 0.5); each row block is checked by its minimum and
+    maximum, and a cell outside is named by its row and column, from 1.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.shape[0] == 0:
         raise ValueError("values must be (series, timesteps), with at least one series")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("values must be finite")
     m, t_len = vals.shape
     lag = _integer(lag, "lag")
     if lag >= t_len:
         raise ValueError("lag must satisfy 0 < lag < t_len")
+    bound = math.sqrt(np.finfo(float).max / (8.0 * lag * (prior.nu + lag + 1.0)))
     out = np.empty((m, t_len - lag))
     rows = max(1, _CDF_CELLS // lag)
     for r0 in range(0, m, rows):
         block = vals[r0 : r0 + rows]
+        if not (-bound <= block.min() and block.max() <= bound):  # NaN fails too
+            r, c = np.argwhere(~(np.abs(block) <= bound))[0]
+            raise ValueError(
+                f"values: row {r0 + r + 1}, column {c + 1}: {float(block[r, c])!r} is not a "
+                f"finite number within +-{bound!r}, past which lag-{lag} window moments overflow"
+            )
         for t in range(lag, t_len):
             out[r0 : r0 + rows, t - lag], dof = _window_z(
                 prior, block[:, t - lag : t], block[:, t]
@@ -158,14 +169,17 @@ def confusion_metrics(counts: np.ndarray) -> Dict[str, np.ndarray]:
 
 
 def _confusion_cube(flags: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    # flags (L, m, nt), truth (m, nt) -> (L, nt, 4); tp is counted one level
-    # at a time and the other counts follow from the margins, so no
-    # cube-sized temporary is made
-    flagged = flags.sum(axis=1)
-    tp = np.empty_like(flagged)
-    for level, out in zip(flags, tp):
-        (level & truth).sum(axis=0, out=out)
-    fn = truth.sum(axis=0) - tp
+    # flags (L, m, nt), truth (m, nt) -> (L, nt, 4).  tp sums the flags
+    # gathered at the true cells only, by timestep, with no loop over levels;
+    # the other counts follow from the margins
+    flagged = np.count_nonzero(flags, axis=1)
+    t_true, s_true = np.nonzero(truth.T)
+    starts = np.flatnonzero(np.diff(t_true, prepend=-1))
+    tp = np.zeros_like(flagged)
+    tp[:, t_true[starts]] = np.add.reduceat(
+        flags[:, s_true, t_true], starts, axis=1, dtype=tp.dtype
+    )
+    fn = np.bincount(t_true, minlength=truth.shape[1]) - tp
     return np.stack([tp, flagged - tp, fn, truth.shape[0] - flagged - fn], axis=-1)
 
 

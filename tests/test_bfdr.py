@@ -363,6 +363,41 @@ def test_changepoint_exact_fallback_sums_in_original_order(monkeypatch):
     assert as_tuple(res) == as_tuple(gbfdr_looped(batch, cfg)) == (0.94, 94, True)
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_changepoint_fallback_within_the_batch_bound(monkeypatch, a):
+    # pairs q + d, q - d + r cancel to a residual r of a few 2**-48, inside
+    # the one tolerance of a batch whose scores near 0.95 make sum|d|^a large
+    # but often outside the tolerance of the pairs' own block; such blocks go
+    # to the exact fallback, and every selection equals the looped scan's
+    q = 0.2
+    rng = np.random.default_rng(7)
+    calls = []
+    exact = bfdr._masked_sum
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    for _ in range(200):
+        d = rng.integers(1, 19, size=rng.integers(1, 6)) / 100
+        residual = rng.integers(-3, 4, size=d.size) * 2.0**-48
+        far = np.full(rng.integers(1, 9), 0.95)
+        batch = ScoreBatch(rng.permutation(np.concatenate([q + d, q - d + residual, far])))
+        for k in (10, 100, 1000):
+            cfg = BfdrConfig(q=q, a=a, k=k)
+            want = as_tuple(gbfdr_looped(batch, cfg))
+            monkeypatch.setattr(bfdr, "_masked_sum", counted)
+            assert as_tuple(gbfdr_changepoint(batch, cfg)) == want
+            monkeypatch.setattr(bfdr, "_masked_sum", exact)
+
+    def beyond_own_block(s, w, eta):
+        # the block's sum lies outside 4 m u sum|w| over the block's terms
+        block = w[s <= eta]
+        return abs(block.sum()) > 4.0 * s.size * 2.0**-53 * np.abs(block).sum()
+
+    assert sum(beyond_own_block(*args) for args in calls) >= 10
+
+
 def test_dispatch_honours_algorithm():
     batch = ScoreBatch([0.1, 0.6])
     assert BfdrConfig(q=0.3).algorithm == "changepoint"

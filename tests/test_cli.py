@@ -274,6 +274,8 @@ def test_detect_mismatched_truth_shape(tmp_path):
         ),
         pytest.param("--c1", "nan", "c1 must be >= 0, not nan", id="c1=nan"),
         pytest.param("--c1", "-1", "c1 must be >= 0, not -1.0", id="c1=-1"),
+        # --c1 inf used to run, flagging every r > 0
+        pytest.param("--c1", "inf", "c1 must be finite, not inf", id="c1=inf"),
     ],
 )
 def test_detect_bad_level_grid_fails_before_scoring(
@@ -333,6 +335,19 @@ def test_detect_names_non_finite_data_cell(tmp_path, capsys, monkeypatch, cell):
     assert main(detect_argv(sim, tmp_path / "det")) == 1
     err = capsys.readouterr().err
     assert f"error: {sim / 'data.csv'}: row 4, column 18: {cell} is not finite" in err
+    assert not (tmp_path / "det").exists()
+
+
+def test_detect_names_a_cell_whose_moments_overflow(tmp_path, capsys):
+    # a 3x6 panel with one 1e200 cell used to exit 0 with two overflow
+    # warnings and a score of exactly 0.5 for every window holding the cell
+    data = tmp_path / "data.csv"
+    data.write_text("t0,t1,t2,t3,t4,t5\n0,1,2,1,0,1\n1,0,1e200,2,1,0\n2,1,0,1,2,1\n")
+    argv = ["detect", "--data", str(data), "--out", str(tmp_path / "det"), "--lag", "2"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: values: row 2, column 3: 1e+200 is not a finite number within +-" in err
+    assert "past which lag-2 window moments overflow" in err
     assert not (tmp_path / "det").exists()
 
 

@@ -31,6 +31,20 @@ def test_loss_params_validation():
         LossParams(0.1, np.nan)
 
 
+def test_infinite_costs_are_rejected():
+    # LossParams(c1=inf, c2=0.5) used to build, and loss_eval then returned
+    # nan: inf times zero misses; threshold_flags with c1 = inf flagged
+    # every rate above 0
+    for c1, c2, name in ((np.inf, 0.5, "c1"), (0.5, np.inf, "c2")):
+        with pytest.raises(ValueError, match=f"{name} must be finite, not inf"):
+            LossParams(c1, c2)
+    rates = np.array([0.1, 0.5, 0.9])
+    with pytest.raises(ValueError, match="c1 must be finite, not inf"):
+        threshold_flags(rates, 0.7, c1=np.inf)
+    with pytest.raises(ValueError, match="c1 must be finite, not inf"):
+        bfdr_coupled_rule(ScoreBatch(rates), BfdrConfig(q=0.2, k=10), c1=np.inf)
+
+
 def test_loss_eval_hand_case():
     # one hit (-1), one miss (+2), two flags (+0.5 each)
     flags = [True, False, True, False]
@@ -131,7 +145,7 @@ def test_c_algebra_roundtrip():
         (c_algebra_inv, (-1.0, 0.5), "c2 must be >= 0, not -1.0"),
         (c_algebra_inv, (0.5, -0.5), "(c2=0.5, eta=-0.5) must be >= 0, not -2.0"),
         (c_algebra_inv, (0.5, 1e-320), "(c2=0.5, eta=1e-320) must be finite, not inf"),
-        (c_algebra, (np.nan, 0.5), "c2 = (1 + c1) * eta (eta=nan, c1=0.5) must be finite, not nan"),
+        (c_algebra, (np.nan, 0.5), "c2 = (1 + c1) * eta (eta=nan, c1=0.5) must be >= 0, not nan"),
         (c_algebra, (-0.5, 0.5), "(eta=-0.5, c1=0.5) must be >= 0, not -0.75"),
         (c_algebra, (np.inf, 0.5), "(eta=inf, c1=0.5) must be finite, not inf"),
     ],

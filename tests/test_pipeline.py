@@ -3,6 +3,7 @@ import collections
 import csv
 import importlib.util
 import itertools
+import math
 import re
 import sys
 import tracemalloc
@@ -158,6 +159,37 @@ def test_lagged_scores_validation():
             lagged_scores(np.zeros((2, 5)), DIFFUSE_PRIOR, lag)
 
 
+@pytest.mark.parametrize("lag", [1, 2, 30])
+@pytest.mark.parametrize("prior", [DIFFUSE_PRIOR, NigParams(5.0, 50.0, 20.0, 20.0)])
+def test_lagged_scores_refuse_cells_whose_moments_overflow(lag, prior):
+    # a 1e200 cell used to overflow its windows' moments, with every score
+    # whose window held it exactly 0.5; cells up to the bound score as the
+    # same panel scaled by 2**-500 (exact) does, and one ulp past it is named
+    bound = math.sqrt(np.finfo(float).max / (8.0 * lag * (prior.nu + lag + 1.0)))
+    t = lag + 4
+    vals = np.array([np.where(np.arange(t) % 2, bound, -bound), np.full(t, -bound)])
+    vals[1, lag] = bound
+    small = NigParams(prior.mu0 * 2.0**-500, prior.nu, prior.alpha, prior.beta * 2.0**-1000)
+    got = lagged_scores(vals, prior, lag)
+    assert np.array_equal(got, lagged_scores(vals * 2.0**-500, small, lag))
+    assert (got != 0.5).all()
+    for cell in (np.nextafter(bound, np.inf), -1e200, np.nan, np.inf):
+        bad = vals.copy()
+        bad[1, 2] = cell
+        named = f"values: row 2, column 3: {float(cell)!r} is not a finite number within"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            lagged_scores(bad, prior, lag)
+
+
+def test_lagged_scores_check_each_row_block(monkeypatch):
+    # blocks of one series: the bad cell of the third is named by its own row
+    monkeypatch.setattr(pipeline, "_CDF_CELLS", 2)
+    vals = np.zeros((4, 5))
+    vals[2, 4] = 1e200
+    with pytest.raises(ValueError, match=re.escape("values: row 3, column 5: 1e+200 ")):
+        lagged_scores(vals, DIFFUSE_PRIOR, 2)
+
+
 def test_custom_prior_changes_scores(panel):
     weak = lagged_scores(panel.values, DIFFUSE_PRIOR, 8)
     strong = lagged_scores(panel.values, NigParams(0.0, 50.0, 20.0, 20.0), 8)
@@ -264,6 +296,8 @@ def test_detect_config_rejects_bad_miss_cost():
     for c1 in (-2.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="c1 must be >= 0"):
             DetectConfig(bfdr=BfdrConfig(q=0.2), c1=c1)
+    with pytest.raises(ValueError, match="c1 must be finite, not inf"):
+        DetectConfig(bfdr=BfdrConfig(q=0.2), c1=np.inf)
     with pytest.raises(ValueError, match="orientation must be"):
         DetectConfig(bfdr=BfdrConfig(q=0.2), orientation="sideways")
 
@@ -411,6 +445,23 @@ def test_confusion_cube_matches_four_cube_form(fill, truth_fill, levels):
         return np.full(shape, kind == "all_true")
 
     flags, truth = cube(fill, (levels, 17, 9)), cube(truth_fill, (17, 9))
+    pairs = ((flags, truth), (flags, ~truth), (~flags, truth), (~flags, ~truth))
+    expect = np.stack([(f & t).sum(axis=1) for f, t in pairs], axis=-1)
+    got = pipeline._confusion_cube(flags, truth)
+    assert got.dtype == expect.dtype
+    assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("levels, m, nt", [(1, 17, 9), (3, 1, 9), (3, 17, 1), (1, 1, 1)])
+def test_confusion_cube_on_edge_shapes(levels, m, nt):
+    # one level, one series, one timestep; timestep 0 has every cell true and
+    # the last none (the only timestep is all true, or m = 1 all one kind)
+    rng = np.random.default_rng(levels * 100 + m * 10 + nt)
+    flags = rng.random((levels, m, nt)) < 0.4
+    truth = rng.random((m, nt)) < 0.5
+    truth[:, 0] = True
+    if nt > 1:
+        truth[:, -1] = False
     pairs = ((flags, truth), (flags, ~truth), (~flags, truth), (~flags, ~truth))
     expect = np.stack([(f & t).sum(axis=1) for f, t in pairs], axis=-1)
     got = pipeline._confusion_cube(flags, truth)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from predfdr import files, simgen
-from predfdr.files import as_truth, load_matrix_csv, write_matrix_csv
+from predfdr.files import as_truth, load_matrix_csv, load_truth_csv, write_matrix_csv
 from predfdr.simgen import SimData, SimSpec, gen_data, gen_signal, save_sim
 
 
@@ -313,6 +313,100 @@ def test_bool_matrix_bytes_match_savetxt(tmp_path, monkeypatch, shape, block_cel
     header = ",".join(f"t{4 + i}" for i in range(shape[1]))
     np.savetxt(want, mat, fmt="%.17g", delimiter=",", header=header, comments="")
     assert (tmp_path / "truth.csv").read_bytes() == want.getvalue()
+
+
+@pytest.mark.parametrize(
+    "shape, block_cells",
+    [((1, 1), None), ((1, 7), None), ((7, 1), None), ((9, 5), None), ((9, 5), 4), ((9, 5), 15)],
+    ids=["1x1", "one-row", "one-column", "one-block", "row-blocks", "partial-last-block"],
+)
+def test_float_matrix_bytes_match_savetxt(tmp_path, monkeypatch, shape, block_cells):
+    # the float writer formats blocks of max(1, block_cells // columns) rows
+    # by one % operation: one row a block for 5 columns at 4 cells, three
+    # rows and a last block of none at 15
+    if block_cells is not None:
+        monkeypatch.setattr(files, "_FORMAT_CELLS", block_cells)
+    edge = [-0.0, 0.0, 1.0, 5e-324, 2.0**-1060, -2.2250738585072014e-308, 0.1, -1e300,
+            np.nextafter(1.0, 0.0), np.inf, -np.inf, np.nan, 123456789012345678.0]
+    rng = np.random.default_rng(len(edge) * shape[0] + shape[1])
+    mat = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+    flat = mat.reshape(-1)
+    flat[: len(edge)] = edge[: flat.size]
+    write_matrix_csv(mat, tmp_path / "scores.csv", t_offset=30)
+    want = io.BytesIO()
+    header = ",".join(f"t{30 + i}" for i in range(shape[1]))
+    np.savetxt(want, mat, fmt="%.17g", delimiter=",", header=header, comments="")
+    assert (tmp_path / "scores.csv").read_bytes() == want.getvalue()
+
+
+def read_either(read, path):
+    """What ``read`` returns, or the type and text of what it raises."""
+    try:
+        return read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_truth(got, want, name):
+    if isinstance(want, tuple):
+        assert got == want, name
+    else:
+        assert isinstance(got, np.ndarray), (name, got)
+        assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
+        assert np.array_equal(got, want), name
+
+
+def truth_files():
+    """The bytes write_matrix_csv writes for a 4 x 3 bool matrix, each of its
+    bytes changed to each of a few others, and other layouts of it."""
+    mat = np.array([[1, 0, 0], [0, 1, 1], [0, 0, 0], [1, 1, 1]], dtype=bool)
+    buf = io.BytesIO()
+    np.savetxt(buf, mat, fmt="%.17g", delimiter=",", header="t5,t6,t7", comments="")
+    base = buf.getvalue()
+    head, body = base.split(b"\n", 1)
+    yield "layout", base
+    for i in range(len(base)):
+        for b in b"012,\n\r\" x\x00\xff":
+            if base[i] != b:
+                yield f"byte-{i}={b}", base[:i] + bytes([b]) + base[i + 1 :]
+    yield "crlf", base.replace(b"\n", b"\r\n")
+    yield "no-final-lf", base[:-1]
+    yield "cell-2", base.replace(b"1,1,1", b"1,2,1")
+    yield "quoted-header", b'"t5",t6,t7\n' + body
+    yield "quoted-comma-header", b'"t5,t6",t7\n' + body
+    yield "empty-header", b"\n" + body
+    yield "bom", b"\xef\xbb\xbf" + base
+    yield "blank-line-mid", base.replace(b"0,1,1\n", b"0,1,1\n\n")
+    yield "blank-line-end", base + b"\n"
+    yield "blank-lines-end", base + b"\n\n\n"
+    yield "header-only", head + b"\n"
+    yield "header-no-lf", head
+    yield "empty", b""
+    yield "one-column", b"t0\n1\n0\n"
+    yield "narrow-rows", head + b"\n1,0\n0,1\n1,1\n"
+    yield "wide-rows", b"t0,t1\n1,0,1\n0,1,0\n"
+
+
+def test_truth_reader_equals_the_general_route(tmp_path):
+    # every file gives the matrix as_truth(load_matrix_csv(...)) gives, or
+    # its error; the writer's own layout is read as bytes
+    path = tmp_path / "truth.csv"
+    for name, data in truth_files():
+        path.write_bytes(data)
+        want = read_either(lambda p: as_truth(load_matrix_csv(p), p), path)
+        assert_same_truth(read_either(load_truth_csv, path), want, name)
+
+
+def test_truth_reader_reads_the_writers_layout_as_bytes(tmp_path, monkeypatch):
+    mat = np.random.default_rng(2).random((37, 11)) < 0.3
+    write_matrix_csv(mat, tmp_path / "truth.csv", t_offset=3)
+
+    def no_parse(*args):
+        raise AssertionError("parsed the writer's layout as text")
+
+    monkeypatch.setattr(files, "load_matrix_csv", no_parse)
+    got = load_truth_csv(tmp_path / "truth.csv")
+    assert got.dtype == bool and np.array_equal(got, mat)
 
 
 def test_as_truth_keeps_a_bool_matrix_and_checks_numbers(tmp_path):
