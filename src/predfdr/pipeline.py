@@ -61,9 +61,13 @@ class DetectConfig:
         return [replace(self.bfdr, q=float(q)) for q in qs]
 
 
-# cells standardised per t-CDF call, and window cells per moment block: bounds
-# the CDF's and the moments' temporaries to a cache-sized working set
-_CDF_CELLS = 2**16
+# Cells per t-CDF call: its continued fraction holds about 10 doubles a cell,
+# 2.5 MB at 2**15, near a 2 MiB L2 cache; parts of 2**16 (5.0 MB) set
+# wide_scoring's peak memory and ran about 9 % slower (2 shared cores).
+# Window cells per moment block: blocks of 2**15 made wide_scoring's scoring
+# 3-4 % slower.
+_CDF_CELLS = 2**15
+_MOMENT_CELLS = 2**16
 
 
 def lagged_scores(
@@ -82,11 +86,13 @@ def lagged_scores(
     reduced on its own, so blocking does not change a digit.  Every window
     has lag observations, so the t-CDF's dof is the same throughout, and it
     then runs in place over the whole result, in the fewest parts of at
-    most 2**16 cells, all of one size but a smaller last one.
+    most 2**15 cells, all of one size but a smaller last one, so its
+    temporaries stay near the size of a 2 MiB L2 cache.
 
-    Every cell must be finite, with lag (2|x|)^2 (nu + lag + 1) at most half
-    the largest float, so no window's moments or predictive scale overflow
-    (into a score of 0.5); each row block is checked by its minimum and
+    Every cell, and the prior mean, must be finite, with lag (2|x|)^2
+    (nu + lag + 1) at most half the largest float, so no window's moments or
+    predictive scale overflow (into a score of 0.5); a prior mean outside is
+    refused with the bound, each row block is checked by its minimum and
     maximum, and a cell outside is named by its row and column, from 1.
     """
     vals = np.asarray(values, dtype=float)
@@ -97,8 +103,13 @@ def lagged_scores(
     if lag >= t_len:
         raise ValueError("lag must satisfy 0 < lag < t_len")
     bound = math.sqrt(np.finfo(float).max / (8.0 * lag * (prior.nu + lag + 1.0)))
+    if not abs(prior.mu0) <= bound:
+        raise ValueError(
+            f"prior mean mu0={prior.mu0!r} is not within +-{bound!r}, "
+            f"past which lag-{lag} window moments overflow"
+        )
     out = np.empty((m, t_len - lag))
-    rows = max(1, _CDF_CELLS // lag)
+    rows = max(1, _MOMENT_CELLS // lag)
     for r0 in range(0, m, rows):
         block = vals[r0 : r0 + rows]
         if not (-bound <= block.min() and block.max() <= bound):  # NaN fails too

@@ -351,6 +351,20 @@ def test_detect_names_a_cell_whose_moments_overflow(tmp_path, capsys):
     assert not (tmp_path / "det").exists()
 
 
+def test_detect_refuses_a_prior_mean_whose_moments_overflow(tmp_path, capsys):
+    # a prior mean of 1e160 at lag 3 used to exit 0 with overflow warnings
+    # and every score exactly 0.5
+    data = tmp_path / "data.csv"
+    data.write_text("t0,t1,t2,t3,t4,t5\n0,1,2,1,0,1\n1,0,3,2,1,0\n2,1,0,1,2,1\n")
+    argv = ["detect", "--data", str(data), "--out", str(tmp_path / "det"), "--lag", "3",
+            "--prior", "1e160,1e-4,0.01,0.01"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: prior mean mu0=1e+160 is not within +-" in err
+    assert "past which lag-3 window moments overflow" in err
+    assert not (tmp_path / "det").exists()
+
+
 def test_detect_threads_is_usage_error(tmp_path, capsys):
     # the pipeline runs on one thread; the option is gone, not ignored
     sim = tmp_path / "sim"

@@ -91,8 +91,8 @@ def test_lagged_scores_chunks_match_per_column_scores(panel, monkeypatch, two_si
 @pytest.mark.parametrize("tail", [1, 2])
 @pytest.mark.parametrize("two_sided", [False, True])
 def test_lagged_scores_row_blocks_cover_every_series_once(monkeypatch, two_sided, tail):
-    # 36 cells and lag 8 make moment blocks of 4 series, so 12 + tail series
-    # end on a partial block of tail
+    # 36 window cells and lag 8 make moment blocks of 4 series, so 12 + tail
+    # series end on a partial block of tail
     lag = 8
     m = 12 + tail
     vals = np.ascontiguousarray(
@@ -108,7 +108,7 @@ def test_lagged_scores_row_blocks_cover_every_series_once(monkeypatch, two_sided
         blocks.setdefault(t, []).append((r0, r0 + x.size))
         return window_z(prior, win, x)
 
-    monkeypatch.setattr(pipeline, "_CDF_CELLS", 36)
+    monkeypatch.setattr(pipeline, "_MOMENT_CELLS", 36)
     monkeypatch.setattr(pipeline, "_window_z", spy)
     scores = lagged_scores(vals, DIFFUSE_PRIOR, lag, two_sided=two_sided)
     assert sorted(blocks) == list(range(lag, 40))
@@ -183,11 +183,44 @@ def test_lagged_scores_refuse_cells_whose_moments_overflow(lag, prior):
 
 def test_lagged_scores_check_each_row_block(monkeypatch):
     # blocks of one series: the bad cell of the third is named by its own row
-    monkeypatch.setattr(pipeline, "_CDF_CELLS", 2)
+    monkeypatch.setattr(pipeline, "_MOMENT_CELLS", 2)
     vals = np.zeros((4, 5))
     vals[2, 4] = 1e200
     with pytest.raises(ValueError, match=re.escape("values: row 3, column 5: 1e+200 ")):
         lagged_scores(vals, DIFFUSE_PRIOR, 2)
+
+
+@pytest.mark.parametrize("lag", [1, 3, 30])
+@pytest.mark.parametrize("prior", [DIFFUSE_PRIOR, NigParams(5.0, 50.0, 20.0, 20.0)])
+def test_lagged_scores_refuse_a_prior_mean_whose_moments_overflow(lag, prior):
+    # a prior mean of 1e160 at lag 3 used to overflow (xbar - mu0)**2, with
+    # every score exactly 0.5; cells at +bound score against a mean at -bound
+    # with no warning, and the next float past the bound is refused
+    bound = math.sqrt(np.finfo(float).max / (8.0 * lag * (prior.nu + lag + 1.0)))
+    vals = np.full((2, lag + 3), bound)
+    edge = NigParams(-bound, prior.nu, prior.alpha, prior.beta)
+    got = lagged_scores(vals, edge, lag)
+    assert np.isfinite(got).all() and (got != 0.5).all()
+    for mu0 in (np.nextafter(bound, np.inf), -np.nextafter(bound, np.inf), 1e160):
+        far = NigParams(float(mu0), prior.nu, prior.alpha, prior.beta)
+        named = f"prior mean mu0={float(mu0)!r} is not within +-{bound!r}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            lagged_scores(np.zeros((2, lag + 3)), far, lag)
+
+
+def test_lagged_scores_working_set_is_bounded():
+    # the t-CDF holds about 10 doubles a cell: parts of 2**15 cells peak near
+    # 2.7 MB above the result on this 2**17-cell panel, where parts of 2**16
+    # peaked near 5.4 MB
+    vals = np.random.default_rng(5).standard_normal((4096, 62))
+    tracemalloc.start()
+    try:
+        scores = lagged_scores(vals, DIFFUSE_PRIOR, 30, two_sided=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.size == 2**17
+    assert peak - scores.nbytes < 12 * 8 * 2**15
 
 
 def test_custom_prior_changes_scores(panel):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from predfdr import pipeline
 from predfdr import special as kernel
 from predfdr.special import betainc, student_t_cdf
 
@@ -341,10 +342,10 @@ def test_t_cdf_nan_in_nan_out(monkeypatch):
 
 
 def test_t_cdf_working_set_is_bounded():
-    # the scorer calls the CDF on chunks of 2**16 cells, so its temporaries
-    # count against peak memory; the allocating form peaked near 16 doubles
-    # per cell
-    x = np.random.default_rng(4).standard_t(30.0, size=2**16) * 1.2
+    # the scorer calls the CDF on parts of pipeline._CDF_CELLS cells (2**15),
+    # so its temporaries count against peak memory; the allocating form
+    # peaked near 16 doubles per cell, the in-place one holds about 10
+    x = np.random.default_rng(4).standard_t(30.0, size=pipeline._CDF_CELLS) * 1.2
     tracemalloc.start()
     try:
         student_t_cdf(x, 30.02)
