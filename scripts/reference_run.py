@@ -15,7 +15,9 @@ RSS and of each stage both trees time, and of ``csv_loads``, the summed
 time of the ``load_*`` stages (every CSV read); the median of those ratios,
 and the number of rounds the change won.
 On a shared host the per-side medians can drift by more than a change moves
-them; the paired ratios resolve what those medians cannot.
+them; the paired ratios resolve what those medians cannot.  Each child also
+times a fixed task that uses nothing of predfdr before it runs, and its
+paired ratio, ``control``, shows when a whole batch's ratios shift together.
 
     python scripts/reference_run.py --parent HEAD~1 --out BENCH_18.json
 
@@ -50,8 +52,22 @@ STAGES = (
     "write_report",
 )
 
-# Runs one subcommand in this interpreter and prints its wall time, peak RSS
-# and, for detect, the summed wall time of each stage predfdr.cli calls.
+# A fixed task that uses nothing of predfdr, timed in each child just before
+# cli.main.  Its paired ratio is the batch's control: a shift of the host's
+# speed that moves every stage's ratio at once moves this one too.  Its
+# arrays (64 KiB) stay below the allocator's mmap threshold, and it does not
+# load numpy.random (about 5.7 MB), so the run's peak RSS does not move.
+CONTROL = """
+import numpy as np
+x = (np.arange(2**13) * 7919 % 8191).astype(float)  # 2**13 values, scrambled
+for _ in range(200):
+    np.sort(x)
+sum(i * i for i in range(2**20))
+"""
+
+# Runs one subcommand in this interpreter and prints its wall time, peak RSS,
+# the control task's time and, for detect, the summed wall time of each stage
+# predfdr.cli calls.
 DRIVER = """
 import json, resource, sys, time
 from predfdr import cli
@@ -69,11 +85,15 @@ def timed(name, fn):
 for name in stages:
     setattr(cli, name, timed(name, getattr(cli, name)))
 t0 = time.perf_counter()
+exec(%r, {})
+control = time.perf_counter() - t0
+t0 = time.perf_counter()
 code = cli.main(sys.argv[1:])
 wall = time.perf_counter() - t0
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"code": code, "wall_s": wall, "peak_rss_mb": rss, "stages_s": stages}))
-""" % (STAGES,)
+print(json.dumps({"code": code, "wall_s": wall, "peak_rss_mb": rss, "control_s": control,
+                  "stages_s": stages}))
+""" % (STAGES, CONTROL)
 
 
 def _extract(rev: str, dest: Path) -> Path:
@@ -108,6 +128,7 @@ def _one_run(tree: Path, cwd: Path) -> dict:
     return {
         "wall_s": round(det["wall_s"], 3),
         "peak_rss_mb": round(det["peak_rss_mb"], 1),
+        "control_s": round(det["control_s"], 4),
         "stages_s": {k: round(v, 4) for k, v in det["stages_s"].items()},
         "simulate": {
             "wall_s": round(sim["wall_s"], 3),
@@ -123,6 +144,7 @@ def _median(runs: list) -> dict:
     return {
         "wall_s": med(lambda r: r["wall_s"], 3),
         "peak_rss_mb": med(lambda r: r["peak_rss_mb"], 1),
+        "control_s": med(lambda r: r["control_s"], 4),
         "stages_s": {s: med(lambda r: r["stages_s"][s], 4) for s in runs[0]["stages_s"]},
         "simulate": {
             "wall_s": med(lambda r: r["simulate"]["wall_s"], 3),
@@ -132,9 +154,10 @@ def _median(runs: list) -> dict:
 
 
 def _paired(runs: dict) -> dict:
-    """Per round, the change's wall time, peak RSS and time in each stage
-    over the parent's; the median ratio, and the rounds the change won (a
-    ratio below 1).  Stages are those both trees time, and csv_loads."""
+    """Per round, the change's wall time, peak RSS, control time (where the
+    runs record one) and time in each stage over the parent's; the median
+    ratio, and the rounds the change won (a ratio below 1).  Stages are
+    those both trees time, and csv_loads."""
     rounds = list(zip(runs["parent"], runs["change"]))
 
     def pair(get) -> dict:
@@ -150,11 +173,10 @@ def _paired(runs: dict) -> dict:
 
     parent, change = (side["stages_s"] for side in rounds[0])
     stages = {s: pair(lambda r, s=s: r["stages_s"][s]) for s in change if s in parent}
-    return {
-        "wall_s": pair(lambda r: r["wall_s"]),
-        "peak_rss_mb": pair(lambda r: r["peak_rss_mb"]),
-        "stages_s": {**stages, "csv_loads": pair(csv_loads)},
-    }
+    paired = {name: pair(lambda r, name=name: r[name]) for name in ("wall_s", "peak_rss_mb")}
+    if "control_s" in rounds[0][0]:
+        paired["control"] = pair(lambda r: r["control_s"])
+    return {**paired, "stages_s": {**stages, "csv_loads": pair(csv_loads)}}
 
 
 def _files(root: Path) -> list:
@@ -215,11 +237,16 @@ def main(argv=None) -> int:
                 f"numpy {np.__version__}"
             ),
             "runs": f"{args.runs} per side, in {args.runs} rounds alternating the order ({order})",
+            "control": (
+                "control_s is a fixed numpy sort and Python loop that uses nothing of predfdr, "
+                "timed in the detect interpreter just before main(); its paired ratio shows a "
+                "shift of the host's speed that moves every stage's ratio at once"
+            ),
             "paired": (
-                "per round, the change's wall_s, peak_rss_mb and time in each stage both trees "
-                "time over the parent's in the same round (csv_loads sums the load_* stages, "
-                "every CSV read); the median of those ratios, and the rounds the change won "
-                "(ratio < 1)"
+                "per round, the change's wall_s, peak_rss_mb, control_s and time in each stage "
+                "both trees time over the parent's in the same round (csv_loads sums the load_* "
+                "stages, every CSV read); the median of those ratios, and the rounds the change "
+                "won (ratio < 1)"
             ),
             "outputs": (
                 f"the {len(names)} files of every run (simulate's and detect's, manifests "

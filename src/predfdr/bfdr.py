@@ -282,13 +282,17 @@ def gbfdr_changepoint(batch: ScoreBatch, cfg: BfdrConfig) -> ThresholdResult:
     """
     k = cfg.k
     ends, tops = batch.grid_blocks(k)
-    # the terms _signed_power forms, bit for bit, and the sum of their magnitudes
+    # the terms _signed_power forms, bit for bit, built in place, and the sum
+    # of their magnitudes
     d = batch.sorted_scores - cfg.q
-    mag = np.power(np.abs(d), cfg.a)
-    crit = (np.sign(d) * mag).cumsum()[ends]
-    tol = 4.0 * d.size * _U * float(mag.sum())
+    mag = np.abs(d)
+    np.power(mag, cfg.a, mag)
+    np.sign(d, d)
+    d *= mag
+    crit = d.cumsum()[ends]
+    tol = 4.0 * d.size * _U * float(np.add.reduce(mag))
     w = None  # original-order terms, formed only for the exact fallback
-    for b in np.flatnonzero(crit <= tol)[::-1]:
+    for b in (crit <= tol).nonzero()[0][::-1]:
         if crit[b] >= -tol:
             if w is None:
                 w = _signed_power(batch.scores, cfg.q, cfg.a)

@@ -8,7 +8,8 @@ counts and classification metrics when truth is available.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,7 +59,8 @@ class DetectConfig:
     def levels(self, q_values: Optional[Sequence[float]] = None) -> List[BfdrConfig]:
         """One selector config per level; ``bfdr.q`` alone when no grid is given."""
         qs = q_values if q_values is not None else [self.bfdr.q]
-        return [replace(self.bfdr, q=float(q)) for q in qs]
+        b = self.bfdr  # built directly: replace() walks the fields on every call
+        return [BfdrConfig(float(q), b.a, b.k, b.algorithm) for q in qs]
 
 
 # Cells per t-CDF call: its continued fraction holds about 10 doubles a cell,
@@ -68,6 +70,9 @@ class DetectConfig:
 # 3-4 % slower.
 _CDF_CELLS = 2**15
 _MOMENT_CELLS = 2**16
+# Level x true-cell entries per gather of the confusion counts' tp: 2 MiB in
+# intp.  All levels at once made the paper-scale detect's peak 11.8 MB.
+_GATHER_CELLS = 2**18
 
 
 def lagged_scores(
@@ -94,6 +99,9 @@ def lagged_scores(
     predictive scale overflow (into a score of 0.5); a prior mean outside is
     refused with the bound, each row block is checked by its minimum and
     maximum, and a cell outside is named by its row and column, from 1.
+    The prior's nu, alpha and beta each have a range too, so the predictive
+    scale neither overflows (into scores of 0.5, or of 0 and 1) nor
+    underflows; a field outside its range is refused with the range.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.shape[0] == 0:
@@ -102,7 +110,23 @@ def lagged_scores(
     lag = _integer(lag, "lag")
     if lag >= t_len:
         raise ValueError("lag must satisfy 0 < lag < t_len")
-    bound = math.sqrt(np.finfo(float).max / (8.0 * lag * (prior.nu + lag + 1.0)))
+    fmax, tiny = sys.float_info.max, sys.float_info.min
+    # each prior field gets a share of the largest float, as the cells' bound
+    # below gets half of it: nu keeps that bound's denominator within half,
+    # beta (nu_n + 1), in the squared predictive scale's numerator, takes a
+    # quarter, its denominator nu_n alpha_n stays within half, and beta >=
+    # tiny alpha_n keeps the squared scale above the smallest normal float
+    for name, lo, hi in (
+        ("nu", 0.0, fmax / (16.0 * lag) - lag - 1.0),
+        ("alpha", 0.0, fmax / (2.0 * (prior.nu + lag)) - lag / 2.0),
+        ("beta", tiny * (prior.alpha + lag / 2.0), fmax / (4.0 * (prior.nu + lag + 1.0))),
+    ):
+        if not lo <= getattr(prior, name) <= hi:
+            raise ValueError(
+                f"prior {name}={getattr(prior, name)!r} is not within [{lo!r}, {hi!r}], "
+                f"outside which the lag-{lag} predictive scale overflows or vanishes"
+            )
+    bound = math.sqrt(fmax / (8.0 * lag * (prior.nu + lag + 1.0)))
     if not abs(prior.mu0) <= bound:
         raise ValueError(
             f"prior mean mu0={prior.mu0!r} is not within +-{bound!r}, "
@@ -136,7 +160,9 @@ class DetectionReport:
 
     Arrays indexed by evaluated q are (nq, nt); fixed-baseline arrays are
     (nb, nt).  Flag cubes are (level, series, timestep).  Confusion arrays
-    hold (tp, fp, fn, tn) per level and timestep.
+    hold (tp, fp, fn, tn) per level and timestep.  As detect() builds it,
+    each method's flags, confusion counts and metrics are views, the first
+    nq and the last nb levels, of one array holding both methods.
     """
 
     t_index: np.ndarray
@@ -182,14 +208,17 @@ def confusion_metrics(counts: np.ndarray) -> Dict[str, np.ndarray]:
 def _confusion_cube(flags: np.ndarray, truth: np.ndarray) -> np.ndarray:
     # flags (L, m, nt), truth (m, nt) -> (L, nt, 4).  tp sums the flags
     # gathered at the true cells only, by timestep, with no loop over levels;
-    # the other counts follow from the margins
+    # the other counts follow from the margins.  reduceat casts the gathered
+    # flags to intp whole, so they are gathered a few levels at a time
     flagged = np.count_nonzero(flags, axis=1)
     t_true, s_true = np.nonzero(truth.T)
     starts = np.flatnonzero(np.diff(t_true, prepend=-1))
     tp = np.zeros_like(flagged)
-    tp[:, t_true[starts]] = np.add.reduceat(
-        flags[:, s_true, t_true], starts, axis=1, dtype=tp.dtype
-    )
+    step = max(1, _GATHER_CELLS // max(t_true.size, 1))
+    for lo in range(0, flags.shape[0], step):
+        tp[lo : lo + step, t_true[starts]] = np.add.reduceat(
+            flags[lo : lo + step, s_true, t_true], starts, axis=1, dtype=tp.dtype
+        )
     fn = np.bincount(t_true, minlength=truth.shape[1]) - tp
     return np.stack([tp, flagged - tp, fn, truth.shape[0] - flagged - fn], axis=-1)
 
@@ -206,9 +235,10 @@ def detect(
     ``scores`` is the (series, timestep) matrix from lagged_scores; ``truth``
     must be aligned to the same columns (pass None to skip metrics).  The
     selector runs once per (q, timestep) on that timestep's oriented scores,
-    so no oriented copy of the whole matrix is made; the flag rule
-    then runs once per method, on the whole threshold array of the selected
-    levels and on that of the fixed baselines.
+    so no oriented copy of the whole matrix is made.  The selected levels and
+    the fixed baselines then share one (nq + nb, 1, nt) threshold array, so
+    the flag rule, the confusion counts and the metrics each run once, over
+    both methods; the report holds each method's part of their results.
     """
     r = np.asarray(scores, dtype=float)
     if r.ndim != 2:
@@ -223,15 +253,16 @@ def detect(
     qs = tuple(level.q for level in levels)
     etas = cfg.baseline_etas if cfg.baseline_etas is not None else qs
 
-    eta_s = np.empty((len(levels), nt))
+    nq = len(levels)
+    eta = np.empty((nq + len(etas), 1, nt))  # selected levels, then baselines
+    eta[nq:] = np.array(etas)[:, None, None]
+    eta_s = eta[:nq, 0]
     for ti in range(nt):
         batch = ScoreBatch(orient(r[:, ti], cfg.orientation))
         for qi, level in enumerate(levels):
             # an infeasible level's eta is None, which stores as NaN
             eta_s[qi, ti] = gbfdr(batch, level).eta
-
-    flags_bfdr = threshold_flags(r, eta_s[:, None, :], cfg.c1, cfg.orientation)
-    flags_fixed = threshold_flags(r, np.array(etas)[:, None, None], cfg.c1, cfg.orientation)
+    flags = threshold_flags(r, eta, cfg.c1, cfg.orientation)
 
     report = DetectionReport(
         t_index=np.arange(nt) + t_offset,
@@ -240,12 +271,13 @@ def detect(
         eta_s=eta_s,
         eta_r=orient(eta_s, cfg.orientation).copy(),
         feasible=~np.isnan(eta_s),
-        flags_bfdr=flags_bfdr,
-        flags_fixed=flags_fixed,
+        flags_bfdr=flags[:nq],
+        flags_fixed=flags[nq:],
     )
     if truth is not None:
-        report.confusion_bfdr = _confusion_cube(flags_bfdr, truth)
-        report.confusion_fixed = _confusion_cube(flags_fixed, truth)
-        report.metrics_bfdr = confusion_metrics(report.confusion_bfdr)
-        report.metrics_fixed = confusion_metrics(report.confusion_fixed)
+        counts = _confusion_cube(flags, truth)
+        metrics = confusion_metrics(counts)
+        report.confusion_bfdr, report.confusion_fixed = counts[:nq], counts[nq:]
+        report.metrics_bfdr = {name: v[:nq] for name, v in metrics.items()}
+        report.metrics_fixed = {name: v[nq:] for name, v in metrics.items()}
     return report

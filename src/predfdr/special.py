@@ -42,12 +42,16 @@ def _beta_cont_frac(a: float, b: float, x: np.ndarray) -> np.ndarray:
     It works on a private copy of ``x`` (a temporary argument is freed once
     copied) and freezes a converged lane by setting its x to 0: from the
     next half-step on ``aa`` is +/-0 and ``d``, ``c`` and ``delta`` are
-    exactly 1, so ``h`` is updated unmasked, in 28 numpy calls per
-    iteration.  A NaN ``delta`` fails ``delta < eps``: its lane keeps running.
+    exactly 1, so ``h`` is updated unmasked, in 24 numpy calls per
+    iteration that needs no floor.  A NaN ``delta`` fails ``delta < eps``:
+    its lane keeps running.
 
     The Lentz terms ``d`` and ``c`` are the two rows of one (2, ...) block,
     so each half-step adds one and applies the floor to both in one call
-    each.  The coefficient ``aa`` and a scratch row ``buf`` are the rows of a
+    each.  The floor runs only when the block's minimum is not at least
+    ``_FPMIN`` (some entry is below it, negative or NaN); otherwise it would
+    change nothing, so one reduction stands in for its three calls.  The
+    coefficient ``aa`` and a scratch row ``buf`` are the rows of a
     second block, which serves as the floor's |.| scratch: both rows are dead
     by the time the floor runs.  The blocks stay separate rather than one
     (4, ...) array, since at a few thousand lanes a single block would cross
@@ -81,7 +85,8 @@ def _beta_cont_frac(a: float, b: float, x: np.ndarray) -> np.ndarray:
         np.multiply(aa, d, d)
         np.divide(aa, c, c)
         cd += 1.0
-        _floor(cd, ab, small)
+        if not np.minimum.reduce(cd, axis=None) >= _FPMIN:
+            _floor(cd, ab, small)
         np.divide(1.0, d, d)
         h *= d
         h *= c
@@ -90,7 +95,8 @@ def _beta_cont_frac(a: float, b: float, x: np.ndarray) -> np.ndarray:
         np.multiply(aa, d, d)
         np.divide(aa, c, c)
         cd += 1.0
-        _floor(cd, ab, small)
+        if not np.minimum.reduce(cd, axis=None) >= _FPMIN:
+            _floor(cd, ab, small)
         np.divide(1.0, d, d)
         delta = np.multiply(d, c, buf)
         h *= delta

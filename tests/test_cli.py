@@ -365,6 +365,26 @@ def test_detect_refuses_a_prior_mean_whose_moments_overflow(tmp_path, capsys):
     assert not (tmp_path / "det").exists()
 
 
+@pytest.mark.parametrize(
+    "prior, field",
+    [("0,1e-4,0.01,1e307", "beta=1e+307"), ("0,1e300,1e300,0.01", "alpha=1e+300"),
+     ("0,1e308,0.01,0.01", "nu=1e+308")],
+)
+def test_detect_refuses_a_prior_whose_predictive_scale_overflows(tmp_path, capsys, prior, field):
+    # on a (3, 40) panel at lag 30 these used to exit 0 with every score 0.5,
+    # or only 0 and 1, or to blame a data cell for not being within +-0.0
+    values = np.random.default_rng(0).standard_normal((3, 40))
+    data = tmp_path / "data.csv"
+    data.write_text(",".join(f"t{i}" for i in range(40)) + "\n"
+                    + "".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
+    argv = ["detect", "--data", str(data), "--out", str(tmp_path / "det"), "--prior", prior]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: prior {field} is not within [" in err
+    assert "outside which the lag-30 predictive scale overflows or vanishes" in err
+    assert not (tmp_path / "det").exists()
+
+
 def test_detect_threads_is_usage_error(tmp_path, capsys):
     # the pipeline runs on one thread; the option is gone, not ignored
     sim = tmp_path / "sim"

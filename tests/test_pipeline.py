@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from predfdr import files, pipeline, special
 from predfdr.bfdr import BfdrConfig, ScoreBatch, gbfdr
-from predfdr.decision import ORIENTATIONS, bfdr_coupled_rule
+from predfdr.decision import ORIENTATIONS, bfdr_coupled_rule, threshold_flags
 from predfdr.pipeline import (
     DIFFUSE_PRIOR,
     DetectConfig,
@@ -208,6 +208,58 @@ def test_lagged_scores_refuse_a_prior_mean_whose_moments_overflow(lag, prior):
             lagged_scores(np.zeros((2, lag + 3)), far, lag)
 
 
+@pytest.mark.parametrize(
+    "prior, field",
+    [
+        (NigParams(0.0, 1e-4, 0.01, 1e307), "beta"),  # scored every cell exactly 0.5
+        (NigParams(0.0, 1e300, 1e300, 0.01), "alpha"),  # scored only 0 and 1, dividing by 0
+        (NigParams(0.0, 1e308, 0.01, 0.01), "nu"),  # blamed a data cell "within +-0.0"
+    ],
+)
+def test_lagged_scores_refuse_a_prior_whose_predictive_scale_overflows(prior, field):
+    vals = np.random.default_rng(0).standard_normal((3, 40))
+    named = f"prior {field}={getattr(prior, field)!r} is not within ["
+    with pytest.raises(ValueError, match=re.escape(named)) as err:
+        lagged_scores(vals, prior, 30)
+    assert "outside which the lag-30 predictive scale overflows" in str(err.value)
+
+
+def _prior_ranges(nu, alpha, lag):
+    # the ranges lagged_scores gives nu, alpha and beta
+    fmax, tiny = sys.float_info.max, sys.float_info.min
+    return {
+        "nu": (0.0, fmax / (16.0 * lag) - lag - 1.0),
+        "alpha": (0.0, fmax / (2.0 * (nu + lag)) - lag / 2.0),
+        "beta": (tiny * (alpha + lag / 2.0), fmax / (4.0 * (nu + lag + 1.0))),
+    }
+
+
+@pytest.mark.parametrize("lag", [1, 2, 30])
+@pytest.mark.parametrize("field, end", [("nu", 1), ("alpha", 1), ("beta", 0), ("beta", 1)])
+def test_lagged_scores_take_prior_fields_at_their_bounds(lag, field, end):
+    # one field at an end of its range, the prior mean at -B and cells at
+    # +-B: the widest spread, the largest mean gap, and a constant window at
+    # the mean (the smallest scale) scoring a cell 2B away; no warning, every
+    # score in [0, 1].  alpha's upper end is taken with nu = 1e300, where it
+    # is about 1e8, so the dof stays within the t-CDF's range.  One float
+    # further out is refused.
+    nu = 1e300 if field == "alpha" else DIFFUSE_PRIOR.nu
+    fields = {"nu": nu, "alpha": DIFFUSE_PRIOR.alpha, "beta": DIFFUSE_PRIOR.beta}
+    fields[field] = _prior_ranges(nu, fields["alpha"], lag)[field][end]
+    bound = math.sqrt(sys.float_info.max / (8.0 * lag * (fields["nu"] + lag + 1.0)))
+    prior = NigParams(-bound, **fields)
+    t = lag + 3
+    vals = np.array([np.where(np.arange(t) % 2, bound, -bound), np.full(t, -bound),
+                     np.full(t, bound)])
+    vals[1, lag:] = bound
+    got = lagged_scores(vals, prior, lag)
+    assert ((got >= 0.0) & (got <= 1.0)).all()
+    edge = fields[field]
+    fields[field] = float(np.nextafter(edge, np.inf if end else 0.0))
+    with pytest.raises(ValueError, match=re.escape(f"prior {field}={fields[field]!r} is not")):
+        lagged_scores(vals, NigParams(-bound, **fields), lag)
+
+
 def test_lagged_scores_working_set_is_bounded():
     # the t-CDF holds about 10 doubles a cell: parts of 2**15 cells peak near
     # 2.7 MB above the result on this 2**17-cell panel, where parts of 2**16
@@ -353,7 +405,8 @@ def test_detect_calls_what_perfbench_hooks(panel, monkeypatch):
     # perfbench traces a run by replacing the module attributes in its HOOKS
     # table, and skips one that is missing; so each must exist, and detect
     # must reach the selector, flag rule and metrics through pipeline's
-    # globals, the selector once per (level, timestep)
+    # globals, the selector once per (level, timestep) and the flag rule and
+    # metrics once, over both methods
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -373,7 +426,47 @@ def test_detect_calls_what_perfbench_hooks(panel, monkeypatch):
     scores = lagged_scores(panel.values, DIFFUSE_PRIOR, 8)
     cfg = DetectConfig(bfdr=BfdrConfig(q=0.2, k=100))
     detect(scores, panel.truth[:, 8:], cfg, q_values=(0.3, 0.1, 0.05))
-    assert calls == {"gbfdr": 3 * scores.shape[1], "threshold_flags": 2, "confusion_metrics": 2}
+    assert calls == {"gbfdr": 3 * scores.shape[1], "threshold_flags": 1, "confusion_metrics": 1}
+
+
+@pytest.mark.parametrize(
+    "m, nt, qs, baselines, orientation, c1, with_truth",
+    [
+        (12, 52, (0.3, 0.1, 0.05), (0.2,), "null_score", 0.0, True),  # nb != nq
+        (12, 52, (0.3, 0.1), None, "null_score", 0.0, False),  # no truth
+        (12, 1, (0.3,), (0.2, 0.4, 0.01), "null_score", 0.0, True),  # nt = 1
+        (1, 52, (0.3, 0.1), None, "null_score", 0.0, True),  # m = 1
+        (12, 52, (0.3, 0.1), (0.5,), "raw_score", 0.0, True),
+        (12, 52, (0.3, 0.1), None, "null_score", 0.7, True),  # c1 > 0
+    ],
+)
+def test_detect_report_views_equal_per_method_passes(
+    panel, m, nt, qs, baselines, orientation, c1, with_truth
+):
+    # detect runs the flag rule, the confusion counts and the metrics once
+    # over both methods; each method's views equal a pass of its own
+    scores = lagged_scores(panel.values, DIFFUSE_PRIOR, 8)[:m, :nt]
+    truth = panel.truth[:m, 8 : 8 + nt] if with_truth else None
+    cfg = DetectConfig(bfdr=BfdrConfig(q=0.2, a=2.0, k=100), c1=c1, baseline_etas=baselines,
+                       orientation=orientation)
+    rep = detect(scores, truth, cfg, q_values=qs)
+    etas = np.array(baselines if baselines is not None else qs)
+    for flags, eta, counts, metrics in (
+        (rep.flags_bfdr, rep.eta_s[:, None, :], rep.confusion_bfdr, rep.metrics_bfdr),
+        (rep.flags_fixed, etas[:, None, None], rep.confusion_fixed, rep.metrics_fixed),
+    ):
+        want = threshold_flags(scores, eta, c1, orientation)
+        assert flags.shape == (len(eta), m, nt) and flags.dtype == want.dtype
+        assert np.array_equal(flags, want)
+        if truth is None:
+            assert counts is None and metrics is None
+            continue
+        want_counts = pipeline._confusion_cube(want, truth)
+        assert counts.dtype == want_counts.dtype and np.array_equal(counts, want_counts)
+        want_metrics = confusion_metrics(want_counts)
+        assert list(metrics) == list(want_metrics)
+        for name, v in want_metrics.items():
+            assert metrics[name].shape == v.shape and metrics[name].tobytes() == v.tobytes()
 
 
 def test_detect_config_has_no_prior():

@@ -1,5 +1,9 @@
 """The paired ratios of scripts/reference_run.py."""
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,34 @@ def test_paired_ratios_cover_every_stage_both_trees_time():
     assert stages["detect"]["change_over_parent"] == [0.5, 1.0]
     assert stages["detect"]["rounds_change_won"] == 1
     assert stages["csv_loads"]["change_over_parent"] == [0.75, 1.25]
+
+
+def test_paired_control_ratio():
+    # the control task's time pairs like a stage, as paired.control
+    runs = {
+        "parent": [dict(run(4.0, 100.0, load_matrix_csv=1.0), control_s=0.2),
+                   dict(run(5.0, 100.0, load_matrix_csv=1.0), control_s=0.4)],
+        "change": [dict(run(3.0, 100.0, load_matrix_csv=1.0), control_s=0.3),
+                   dict(run(6.0, 90.0, load_matrix_csv=1.0), control_s=0.2)],
+    }
+    paired = reference_run._paired(runs)
+    assert paired["control"] == {
+        "change_over_parent": [1.5, 0.5],
+        "median_ratio": 1.0,
+        "rounds_change_won": 1,
+    }
+    assert list(paired) == ["wall_s", "peak_rss_mb", "control", "stages_s"]
+
+
+def test_each_child_times_a_control_task_that_uses_nothing_of_predfdr(tmp_path):
+    # in a fresh interpreter the task imports no predfdr module; each child
+    # reports its time next to the subcommand's
+    probe = reference_run.CONTROL + "import sys\nprint([m for m in sys.modules if 'predfdr' in m])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+    env = {**os.environ, "PYTHONPATH": str(path.parents[1] / "src")}
+    argv = ["simulate", "--out", "sim", "--m", "3", "--t", "12", "--lag", "4"]
+    proc = subprocess.run([sys.executable, "-c", reference_run.DRIVER, *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["code"] == 0 and result["control_s"] > 0.0

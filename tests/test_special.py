@@ -154,6 +154,25 @@ def test_beta_cont_frac_floors_a_zero_first_denominator():
     assert np.isfinite(kernel._beta_cont_frac(1.0, 3.0, x)).all()
 
 
+def test_beta_cont_frac_runs_the_exact_floor_where_a_term_goes_negative(monkeypatch):
+    # past the routing bound (a=1, b=3: x > 1/3) the Lentz terms go negative,
+    # so the loop's check fails and the exact floor runs; a lane past it
+    # floors the whole block, and every lane still matches the oracle
+    calls = []
+    floor = kernel._floor
+    monkeypatch.setattr(kernel, "_floor", lambda *args: calls.append(1) or floor(*args))
+    past = np.linspace(0.5, 1.0, 41)[1:-1]
+    within = np.linspace(0.0, 0.3, 40)
+    _assert_kernel_matches_oracle(1.0, 3.0, past)
+    assert len(calls) > 1  # the floor before the loop always runs
+    calls.clear()
+    _assert_kernel_matches_oracle(1.0, 3.0, np.concatenate([within, past[::7]]))
+    assert len(calls) > 1
+    calls.clear()
+    _assert_kernel_matches_oracle(1.0, 3.0, within)
+    assert len(calls) == 1  # no term in the loop needed the floor
+
+
 def test_t_cdf_cauchy_quartiles():
     # dof=1 is Cauchy: F(0)=1/2, F(1)=3/4, F(-1)=1/4
     assert student_t_cdf(0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
