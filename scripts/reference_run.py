@@ -18,6 +18,7 @@ On a shared host the per-side medians can drift by more than a change moves
 them; the paired ratios resolve what those medians cannot.  Each child also
 times a fixed task that uses nothing of predfdr before it runs, and its
 paired ratio, ``control``, shows when a whole batch's ratios shift together.
+The report also records each tree's line count of ``src/predfdr/*.py``.
 
     python scripts/reference_run.py --parent HEAD~1 --out BENCH_18.json
 
@@ -179,6 +180,11 @@ def _paired(runs: dict) -> dict:
     return {**paired, "stages_s": {**stages, "csv_loads": pair(csv_loads)}}
 
 
+def _src_lines(tree: Path) -> int:
+    """Lines of the tree's src/predfdr/*.py, as wc -l counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "predfdr").glob("*.py"))
+
+
 def _files(root: Path) -> list:
     return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
 
@@ -254,6 +260,7 @@ def main(argv=None) -> int:
                 + (f"{len(differ)} differ" if differ else "all byte-identical")
             ),
             "differing_files": differ,
+            "src_lines": {side: _src_lines(tree) for side, tree in trees.items()},
         },
         "paired": _paired(runs),
         "parent": {"median": _median(runs["parent"]), "runs": runs["parent"]},

@@ -11,8 +11,6 @@ from typing import Optional
 
 import numpy as np
 
-METRIC_NAMES = ("precision", "recall", "accuracy", "balanced_accuracy")
-
 # cells per block of rows in the writers that build bytes from an array (truth.csv
 # and flags.csv): bounds a dense block's buffers, and does not change the bytes
 _WRITE_CELLS = 2**16
@@ -255,7 +253,7 @@ def write_report(report, out_dir) -> dict:
     Rows run level by level, then by timestep; flags are written sparsely,
     one row per flagged cell, by level, series, timestep.  Differences pair
     each evaluated q with the fixed baseline of the same numeric level, when
-    present.
+    present.  Metric columns follow the report's metric dicts, in order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -280,20 +278,20 @@ def write_report(report, out_dir) -> dict:
         "flags": _write_flags(out / "flags.csv", report),
     }
     if report.metrics_bfdr is not None:
-        bfdr = [report.metrics_bfdr[name] for name in METRIC_NAMES]
-        fixed = [report.metrics_fixed[name] for name in METRIC_NAMES]
+        names, bfdr = zip(*report.metrics_bfdr.items())
+        fixed = [report.metrics_fixed[name] for name in names]
         rows = chain(
             level_rows(report.qs, bfdr, "bfdr"), level_rows(report.baseline_etas, fixed, "fixed")
         )
         paths["metrics"] = write_rows_csv(
-            out / "metrics.csv", ["t", "q", "method", *METRIC_NAMES], rows
+            out / "metrics.csv", ["t", "q", "method", *names], rows
         )
         qi = [i for i, q in enumerate(report.qs) if q in report.baseline_etas]
         bi = [report.baseline_etas.index(report.qs[i]) for i in qi]
         diffs = [b[qi] - f[bi] for b, f in zip(bfdr, fixed)]
         paths["diff"] = write_rows_csv(
             out / "diff.csv",
-            ["t", "q", *[f"{n}_diff" for n in METRIC_NAMES]],
+            ["t", "q", *[f"{n}_diff" for n in names]],
             level_rows([report.qs[i] for i in qi], diffs),
         )
     return paths

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bfdr import BfdrConfig, ScoreBatch, _integer, _level, gbfdr
 from .decision import _cost, orient, threshold_flags
-from .files import as_truth
+from .files import _reject_cell, as_truth
 from .predictive import NigParams, _window_z, _z_scores
 
 __all__ = [
@@ -70,9 +70,6 @@ class DetectConfig:
 # 3-4 % slower.
 _CDF_CELLS = 2**15
 _MOMENT_CELLS = 2**16
-# Level x true-cell entries per gather of the confusion counts' tp: 2 MiB in
-# intp.  All levels at once made the paper-scale detect's peak 11.8 MB.
-_GATHER_CELLS = 2**18
 
 
 def lagged_scores(
@@ -101,7 +98,8 @@ def lagged_scores(
     maximum, and a cell outside is named by its row and column, from 1.
     The prior's nu, alpha and beta each have a range too, so the predictive
     scale neither overflows (into scores of 0.5, or of 0 and 1) nor
-    underflows; a field outside its range is refused with the range.
+    underflows, and alpha's keeps the t-CDF's dof, 2 alpha + lag, within
+    2**19, where it stays accurate; a field outside is refused with its range.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.shape[0] == 0:
@@ -110,21 +108,25 @@ def lagged_scores(
     lag = _integer(lag, "lag")
     if lag >= t_len:
         raise ValueError("lag must satisfy 0 < lag < t_len")
+    if lag > 2**19:  # no alpha >= 0 keeps the t-CDF's dof, 2 alpha + lag, within 2**19
+        raise ValueError(f"lag must be at most 2**19 for an accurate t-CDF, got lag={lag}")
     fmax, tiny = sys.float_info.max, sys.float_info.min
+    scale = f"the lag-{lag} predictive scale overflows or vanishes"
     # each prior field gets a share of the largest float, as the cells' bound
     # below gets half of it: nu keeps that bound's denominator within half,
     # beta (nu_n + 1), in the squared predictive scale's numerator, takes a
     # quarter, its denominator nu_n alpha_n stays within half, and beta >=
     # tiny alpha_n keeps the squared scale above the smallest normal float
-    for name, lo, hi in (
-        ("nu", 0.0, fmax / (16.0 * lag) - lag - 1.0),
-        ("alpha", 0.0, fmax / (2.0 * (prior.nu + lag)) - lag / 2.0),
-        ("beta", tiny * (prior.alpha + lag / 2.0), fmax / (4.0 * (prior.nu + lag + 1.0))),
+    for name, lo, hi, why in (
+        ("nu", 0.0, fmax / (16.0 * lag) - lag - 1.0, scale),
+        ("alpha", 0.0, fmax / (2.0 * (prior.nu + lag)) - lag / 2.0, scale),
+        ("alpha", 0.0, 2.0**18 - lag / 2.0, f"the t-CDF's dof 2 alpha + {lag} loses accuracy"),
+        ("beta", tiny * (prior.alpha + lag / 2.0), fmax / (4.0 * (prior.nu + lag + 1.0)), scale),
     ):
         if not lo <= getattr(prior, name) <= hi:
             raise ValueError(
                 f"prior {name}={getattr(prior, name)!r} is not within [{lo!r}, {hi!r}], "
-                f"outside which the lag-{lag} predictive scale overflows or vanishes"
+                f"outside which {why}"
             )
     bound = math.sqrt(fmax / (8.0 * lag * (prior.nu + lag + 1.0)))
     if not abs(prior.mu0) <= bound:
@@ -206,20 +208,13 @@ def confusion_metrics(counts: np.ndarray) -> Dict[str, np.ndarray]:
 
 
 def _confusion_cube(flags: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    # flags (L, m, nt), truth (m, nt) -> (L, nt, 4).  tp sums the flags
-    # gathered at the true cells only, by timestep, with no loop over levels;
-    # the other counts follow from the margins.  reduceat casts the gathered
-    # flags to intp whole, so they are gathered a few levels at a time
+    # flags (L, m, nt), truth (m, nt) -> (L, nt, 4).  tp counts each
+    # timestep's flags at its true rows; the rest follow from the margins
     flagged = np.count_nonzero(flags, axis=1)
-    t_true, s_true = np.nonzero(truth.T)
-    starts = np.flatnonzero(np.diff(t_true, prepend=-1))
-    tp = np.zeros_like(flagged)
-    step = max(1, _GATHER_CELLS // max(t_true.size, 1))
-    for lo in range(0, flags.shape[0], step):
-        tp[lo : lo + step, t_true[starts]] = np.add.reduceat(
-            flags[lo : lo + step, s_true, t_true], starts, axis=1, dtype=tp.dtype
-        )
-    fn = np.bincount(t_true, minlength=truth.shape[1]) - tp
+    tp = np.empty_like(flagged)
+    for t in range(truth.shape[1]):
+        tp[:, t] = np.count_nonzero(flags[:, truth[:, t], t], axis=1)
+    fn = np.count_nonzero(truth, axis=0) - tp
     return np.stack([tp, flagged - tp, fn, truth.shape[0] - flagged - fn], axis=-1)
 
 
@@ -238,7 +233,8 @@ def detect(
     so no oriented copy of the whole matrix is made.  The selected levels and
     the fixed baselines then share one (nq + nb, 1, nt) threshold array, so
     the flag rule, the confusion counts and the metrics each run once, over
-    both methods; the report holds each method's part of their results.
+    both methods; the report holds each method's part of their results.  A
+    score outside [0, 1] is named by its row and column, from 1.
     """
     r = np.asarray(scores, dtype=float)
     if r.ndim != 2:
@@ -257,11 +253,17 @@ def detect(
     eta = np.empty((nq + len(etas), 1, nt))  # selected levels, then baselines
     eta[nq:] = np.array(etas)[:, None, None]
     eta_s = eta[:nq, 0]
-    for ti in range(nt):
-        batch = ScoreBatch(orient(r[:, ti], cfg.orientation))
-        for qi, level in enumerate(levels):
-            # an infeasible level's eta is None, which stores as NaN
-            eta_s[qi, ti] = gbfdr(batch, level).eta
+    try:
+        for ti in range(nt):
+            batch = ScoreBatch(orient(r[:, ti], cfg.orientation))
+            for qi, level in enumerate(levels):
+                # an infeasible level's eta is None, which stores as NaN
+                eta_s[qi, ti] = gbfdr(batch, level).eta
+    except ValueError:  # name column ti's first cell outside [0, 1], NaN included, if any
+        bad = np.zeros(r.shape, dtype=bool)
+        bad[:, ti] = ~((r[:, ti] >= 0.0) & (r[:, ti] <= 1.0))
+        _reject_cell(r, bad, "scores", "is not a score in [0, 1]")
+        raise
     flags = threshold_flags(r, eta, cfg.c1, cfg.orientation)
 
     report = DetectionReport(

@@ -198,6 +198,9 @@ def student_t_cdf(x, dof: float, loc: float = 0.0, scale: float = 1.0):
     cancellation near the centre or in the far tails, and F(x) + F(2*loc - x)
     == 1 holds to machine precision.  NaN entries of ``x`` give NaN and
     infinite ones 0 or 1; ``dof``, ``loc`` and ``scale`` must be finite.
+    Accuracy falls as dof grows (the log-beta prefactor cancels): the worst
+    error against scipy.stats.t.cdf on x in [-40, 40] is 3.9e-12 at dof
+    2**14, 9.2e-11 at 2**19, 3.3e-10 at 2**20 and 4.0e-9 at 2**24.
     """
     if not 0.0 < dof < math.inf:  # also rejects NaN
         raise ValueError(f"student_t_cdf requires finite dof > 0, got {dof}")

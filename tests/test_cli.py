@@ -385,6 +385,22 @@ def test_detect_refuses_a_prior_whose_predictive_scale_overflows(tmp_path, capsy
     assert not (tmp_path / "det").exists()
 
 
+def test_detect_refuses_a_prior_alpha_past_the_t_cdf_accuracy(tmp_path, capsys):
+    # alpha = 1e8 at lag 30 used to exit 0 with scores off by 2.2e-8: the
+    # t-CDF's dof, 2 alpha + 30, was far past 2**19
+    values = np.random.default_rng(0).standard_normal((3, 40))
+    data = tmp_path / "data.csv"
+    data.write_text(",".join(f"t{i}" for i in range(40)) + "\n"
+                    + "".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
+    argv = ["detect", "--data", str(data), "--out", str(tmp_path / "det"),
+            "--prior", "0,1e-4,1e8,1e8"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: prior alpha=100000000.0 is not within [0.0, 262129.0]" in err
+    assert "outside which the t-CDF's dof 2 alpha + 30 loses accuracy" in err
+    assert not (tmp_path / "det").exists()
+
+
 def test_detect_threads_is_usage_error(tmp_path, capsys):
     # the pipeline runs on one thread; the option is gone, not ignored
     sim = tmp_path / "sim"

@@ -229,7 +229,7 @@ def _prior_ranges(nu, alpha, lag):
     fmax, tiny = sys.float_info.max, sys.float_info.min
     return {
         "nu": (0.0, fmax / (16.0 * lag) - lag - 1.0),
-        "alpha": (0.0, fmax / (2.0 * (nu + lag)) - lag / 2.0),
+        "alpha": (0.0, min(fmax / (2.0 * (nu + lag)) - lag / 2.0, 2.0**18 - lag / 2.0)),
         "beta": (tiny * (alpha + lag / 2.0), fmax / (4.0 * (nu + lag + 1.0))),
     }
 
@@ -240,9 +240,9 @@ def test_lagged_scores_take_prior_fields_at_their_bounds(lag, field, end):
     # one field at an end of its range, the prior mean at -B and cells at
     # +-B: the widest spread, the largest mean gap, and a constant window at
     # the mean (the smallest scale) scoring a cell 2B away; no warning, every
-    # score in [0, 1].  alpha's upper end is taken with nu = 1e300, where it
-    # is about 1e8, so the dof stays within the t-CDF's range.  One float
-    # further out is refused.
+    # score in [0, 1].  alpha's upper end is taken with nu = 1e300, where
+    # the scale allows about 1e8 and the t-CDF's dof cap, 2**18 - lag/2, is
+    # the end.  One float further out is refused.
     nu = 1e300 if field == "alpha" else DIFFUSE_PRIOR.nu
     fields = {"nu": nu, "alpha": DIFFUSE_PRIOR.alpha, "beta": DIFFUSE_PRIOR.beta}
     fields[field] = _prior_ranges(nu, fields["alpha"], lag)[field][end]
@@ -258,6 +258,38 @@ def test_lagged_scores_take_prior_fields_at_their_bounds(lag, field, end):
     fields[field] = float(np.nextafter(edge, np.inf if end else 0.0))
     with pytest.raises(ValueError, match=re.escape(f"prior {field}={fields[field]!r} is not")):
         lagged_scores(vals, NigParams(-bound, **fields), lag)
+
+
+@pytest.mark.parametrize("lag", [1, 30])
+def test_lagged_scores_keep_the_t_cdf_dof_within_its_accuracy(lag):
+    # at alpha = 2**18 - lag/2 the dof, 2 alpha + lag, is 2**19 and the
+    # scores stay within 1e-10 of scipy's; the next float is refused, naming
+    # the t-CDF's accuracy.  alpha = 1e8 was off by 2.2e-8
+    from scipy import stats
+
+    vals = np.random.default_rng(0).standard_normal((3, 40))
+    cap = 2.0**18 - lag / 2.0
+    prior = NigParams(0.0, 1e-4, cap, cap)
+    got = lagged_scores(vals, prior, lag)
+    want = np.empty_like(got)
+    for t in range(lag, 40):
+        for j in range(3):
+            pred = posterior_predictive(nig_update(prior, vals[j, t - lag : t]))
+            want[j, t - lag] = stats.t.cdf(vals[j, t], pred.dof, pred.loc, pred.scale)
+    assert np.abs(got - want).max() <= 1e-10
+    for alpha in (float(np.nextafter(cap, np.inf)), 1e8):
+        named = f"prior alpha={alpha!r} is not within [0.0, {cap!r}], outside which "
+        with pytest.raises(ValueError, match=re.escape(named)) as err:
+            lagged_scores(vals, NigParams(0.0, 1e-4, alpha, alpha), lag)
+        assert f"outside which the t-CDF's dof 2 alpha + {lag} loses accuracy" in str(err.value)
+
+
+def test_lagged_scores_refuse_a_lag_past_the_t_cdf_dof_cap():
+    # a lag past 2**19 leaves no alpha >= 0 within the dof cap
+    vals = np.zeros((1, 2**19 + 2))
+    named = "lag must be at most 2**19 for an accurate t-CDF, got lag=524289"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        lagged_scores(vals, DIFFUSE_PRIOR, 2**19 + 1)
 
 
 def test_lagged_scores_working_set_is_bounded():
@@ -385,6 +417,18 @@ def test_detect_config_rejects_bad_miss_cost():
         DetectConfig(bfdr=BfdrConfig(q=0.2), c1=np.inf)
     with pytest.raises(ValueError, match="orientation must be"):
         DetectConfig(bfdr=BfdrConfig(q=0.2), orientation="sideways")
+
+
+@pytest.mark.parametrize("orientation", ["null_score", "raw_score"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 1.5])
+def test_detect_names_a_bad_score_by_row_and_column(orientation, bad):
+    # used to say only "ScoreBatch requires finite scores in [0, 1]"
+    scores = np.random.default_rng(4).random((5, 4))
+    scores[2, 1] = bad
+    cfg = DetectConfig(bfdr=BfdrConfig(q=0.2, k=10), orientation=orientation)
+    named = f"scores: row 3, column 2: {bad!r} is not a score in [0, 1]"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        detect(scores, None, cfg)
 
 
 def test_detect_holds_no_copy_of_the_scores():
@@ -570,12 +614,30 @@ def test_confusion_cube_matches_four_cube_form(fill, truth_fill, levels):
             return rng.random(shape) < 0.3
         return np.full(shape, kind == "all_true")
 
-    flags, truth = cube(fill, (levels, 17, 9)), cube(truth_fill, (17, 9))
-    pairs = ((flags, truth), (flags, ~truth), (~flags, truth), (~flags, ~truth))
-    expect = np.stack([(f & t).sum(axis=1) for f, t in pairs], axis=-1)
-    got = pipeline._confusion_cube(flags, truth)
-    assert got.dtype == expect.dtype
-    assert np.array_equal(got, expect)
+    for nt in (9, 0):
+        flags, truth = cube(fill, (levels, 17, nt)), cube(truth_fill, (17, nt))
+        pairs = ((flags, truth), (flags, ~truth), (~flags, truth), (~flags, ~truth))
+        expect = np.stack([(f & t).sum(axis=1) for f, t in pairs], axis=-1)
+        got = pipeline._confusion_cube(flags, truth)
+        assert got.dtype == expect.dtype
+        assert np.array_equal(got, expect)
+
+
+def test_confusion_cube_working_set_is_bounded():
+    # counting each timestep's true rows holds one level x true-rows gather
+    # at a time: its peak above the (30, 300, 4) result stays within twice
+    # the result, where gathering every level's true cells at once did not
+    rng = np.random.default_rng(8)
+    flags = rng.random((30, 1000, 300)) < 0.3
+    truth = rng.random((1000, 300)) < 0.025
+    tracemalloc.start()
+    try:
+        got = pipeline._confusion_cube(flags, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (30, 300, 4)
+    assert peak - got.nbytes <= 2 * got.nbytes
 
 
 @pytest.mark.parametrize("levels, m, nt", [(1, 17, 9), (3, 1, 9), (3, 17, 1), (1, 1, 1)])

@@ -1,4 +1,4 @@
-"""The paired ratios of scripts/reference_run.py."""
+"""The paired ratios and line counts of scripts/reference_run.py."""
 import importlib.util
 import json
 import os
@@ -76,3 +76,20 @@ def test_each_child_times_a_control_task_that_uses_nothing_of_predfdr(tmp_path):
                           env=env, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["code"] == 0 and result["control_s"] > 0.0
+
+
+def test_src_lines_count_each_tree_s_package_modules(tmp_path):
+    # every line of src/predfdr/*.py, a last line without LF uncounted as
+    # wc -l does; nothing outside the package's own directory counts
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree, texts in ((parent, ["a\nb\n", "c\n"]), (change, ["a\n", "b\nc"])):
+        pkg = tree / "src" / "predfdr"
+        (pkg / "sub").mkdir(parents=True)
+        for i, text in enumerate(texts):
+            (pkg / f"m{i}.py").write_text(text)
+        (pkg / "sub" / "deep.py").write_text("x\n" * 5)
+        (pkg / "notes.txt").write_text("y\n" * 7)
+        (tree / "scripts").mkdir()
+        (tree / "scripts" / "run.py").write_text("z\n" * 3)
+    assert reference_run._src_lines(parent) == 3
+    assert reference_run._src_lines(change) == 2
