@@ -18,6 +18,7 @@ from .bfdr import BfdrConfig, ScoreBatch, _integer, _level, gbfdr
 from .decision import _cost, orient, threshold_flags
 from .files import _reject_cell, as_truth
 from .predictive import NigParams, _window_z, _z_scores
+from .special import _MAX_DOF
 
 __all__ = [
     "DIFFUSE_PRIOR",
@@ -98,8 +99,8 @@ def lagged_scores(
     maximum, and a cell outside is named by its row and column, from 1.
     The prior's nu, alpha and beta each have a range too, so the predictive
     scale neither overflows (into scores of 0.5, or of 0 and 1) nor
-    underflows, and alpha's keeps the t-CDF's dof, 2 alpha + lag, within
-    2**19, where it stays accurate; a field outside is refused with its range.
+    underflows, and alpha's keeps the t-CDF's dof, 2 alpha + lag, within the
+    accuracy ceiling special sets; a field outside is refused with its range.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.shape[0] == 0:
@@ -108,7 +109,7 @@ def lagged_scores(
     lag = _integer(lag, "lag")
     if lag >= t_len:
         raise ValueError("lag must satisfy 0 < lag < t_len")
-    if lag > 2**19:  # no alpha >= 0 keeps the t-CDF's dof, 2 alpha + lag, within 2**19
+    if lag > _MAX_DOF:  # no alpha >= 0 keeps the t-CDF's dof, 2 alpha + lag, within it
         raise ValueError(f"lag must be at most 2**19 for an accurate t-CDF, got lag={lag}")
     fmax, tiny = sys.float_info.max, sys.float_info.min
     scale = f"the lag-{lag} predictive scale overflows or vanishes"
@@ -120,7 +121,7 @@ def lagged_scores(
     for name, lo, hi, why in (
         ("nu", 0.0, fmax / (16.0 * lag) - lag - 1.0, scale),
         ("alpha", 0.0, fmax / (2.0 * (prior.nu + lag)) - lag / 2.0, scale),
-        ("alpha", 0.0, 2.0**18 - lag / 2.0, f"the t-CDF's dof 2 alpha + {lag} loses accuracy"),
+        ("alpha", 0.0, (_MAX_DOF - lag) / 2.0, f"the t-CDF's dof 2 alpha + {lag} loses accuracy"),
         ("beta", tiny * (prior.alpha + lag / 2.0), fmax / (4.0 * (prior.nu + lag + 1.0)), scale),
     ):
         if not lo <= getattr(prior, name) <= hi:
@@ -233,8 +234,8 @@ def detect(
     so no oriented copy of the whole matrix is made.  The selected levels and
     the fixed baselines then share one (nq + nb, 1, nt) threshold array, so
     the flag rule, the confusion counts and the metrics each run once, over
-    both methods; the report holds each method's part of their results.  A
-    score outside [0, 1] is named by its row and column, from 1.
+    both methods; the report holds each method's part of their results.  The
+    first score outside [0, 1], row by row, is named by row and column, from 1.
     """
     r = np.asarray(scores, dtype=float)
     if r.ndim != 2:
@@ -253,17 +254,13 @@ def detect(
     eta = np.empty((nq + len(etas), 1, nt))  # selected levels, then baselines
     eta[nq:] = np.array(etas)[:, None, None]
     eta_s = eta[:nq, 0]
-    try:
-        for ti in range(nt):
-            batch = ScoreBatch(orient(r[:, ti], cfg.orientation))
-            for qi, level in enumerate(levels):
-                # an infeasible level's eta is None, which stores as NaN
-                eta_s[qi, ti] = gbfdr(batch, level).eta
-    except ValueError:  # name column ti's first cell outside [0, 1], NaN included, if any
-        bad = np.zeros(r.shape, dtype=bool)
-        bad[:, ti] = ~((r[:, ti] >= 0.0) & (r[:, ti] <= 1.0))
-        _reject_cell(r, bad, "scores", "is not a score in [0, 1]")
-        raise
+    if r.size and not (r.min() >= 0.0 and r.max() <= 1.0):  # NaN fails too
+        _reject_cell(r, ~((r >= 0.0) & (r <= 1.0)), "scores", "is not a score in [0, 1]")
+    for ti in range(nt):
+        batch = ScoreBatch(orient(r[:, ti], cfg.orientation))
+        for qi, level in enumerate(levels):
+            # an infeasible level's eta is None, which stores as NaN
+            eta_s[qi, ti] = gbfdr(batch, level).eta
     flags = threshold_flags(r, eta, cfg.c1, cfg.orientation)
 
     report = DetectionReport(

@@ -20,6 +20,10 @@ __all__ = ["betainc", "student_t_cdf"]
 _EPS = 1e-15
 _FPMIN = 1e-300
 _MAX_ITER = 500
+# Largest t-CDF dof; betainc's largest a + b, (_MAX_DOF + 1) / 2, is the same
+# rule, as the t-CDF's shapes are (1/2, dof/2).  Past it the log-beta prefactor
+# cancels (TOMS 708's betaln is how to raise it)
+_MAX_DOF = 2.0**19
 
 
 def _floor(v: np.ndarray, buf: np.ndarray, small: np.ndarray) -> None:
@@ -168,7 +172,7 @@ def betainc(a: float, b: float, x):
     Parameters
     ----------
     a, b : float
-        Finite positive shape parameters.
+        Finite positive shape parameters with a + b at most 2**18 + 1/2.
     x : float or array_like
         Evaluation points in [0, 1]; NaN is rejected like any other
         point outside it.
@@ -176,11 +180,14 @@ def betainc(a: float, b: float, x):
     Returns
     -------
     float or ndarray
-        I_x(a, b), accurate to roughly 1e-14 absolute.
+        I_x(a, b); its worst absolute error against scipy is 5.4e-14 at
+        shapes up to 60 and 6.3e-10 at a + b = 2**18 + 1/2.
     """
     for name, v in (("a", a), ("b", b)):
         if not 0.0 < v < math.inf:  # also rejects NaN
             raise ValueError(f"betainc requires finite {name} > 0, got {v}")
+    if not a + b <= (_MAX_DOF + 1.0) / 2.0:
+        raise ValueError(f"betainc requires a + b <= {(_MAX_DOF + 1) / 2}, got a={a}, b={b}")
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also rejects NaN
         raise ValueError("betainc requires 0 <= x <= 1")
@@ -200,10 +207,10 @@ def student_t_cdf(x, dof: float, loc: float = 0.0, scale: float = 1.0):
     infinite ones 0 or 1; ``dof``, ``loc`` and ``scale`` must be finite.
     Accuracy falls as dof grows (the log-beta prefactor cancels): the worst
     error against scipy.stats.t.cdf on x in [-40, 40] is 3.9e-12 at dof
-    2**14, 9.2e-11 at 2**19, 3.3e-10 at 2**20 and 4.0e-9 at 2**24.
+    2**14 and 9.2e-11 at 2**19; a larger dof (3.3e-10 at 2**20) is refused.
     """
-    if not 0.0 < dof < math.inf:  # also rejects NaN
-        raise ValueError(f"student_t_cdf requires finite dof > 0, got {dof}")
+    if not 0.0 < dof <= _MAX_DOF:  # also rejects NaN
+        raise ValueError(f"student_t_cdf requires finite dof in (0, {_MAX_DOF}], got {dof}")
     if not math.isfinite(loc):
         raise ValueError(f"student_t_cdf requires finite loc, got {loc}")
     if not 0.0 < scale < math.inf:

@@ -420,13 +420,26 @@ def test_detect_config_rejects_bad_miss_cost():
 
 
 @pytest.mark.parametrize("orientation", ["null_score", "raw_score"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 1.5])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 1.5, -1e-17, 1.0 + 2**-52])
 def test_detect_names_a_bad_score_by_row_and_column(orientation, bad):
-    # used to say only "ScoreBatch requires finite scores in [0, 1]"
+    # used to say only "ScoreBatch requires finite scores in [0, 1]"; -1e-17
+    # oriented as a null score is 1 - x = 1.0, which the selector would take
     scores = np.random.default_rng(4).random((5, 4))
     scores[2, 1] = bad
     cfg = DetectConfig(bfdr=BfdrConfig(q=0.2, k=10), orientation=orientation)
     named = f"scores: row 3, column 2: {bad!r} is not a score in [0, 1]"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        detect(scores, None, cfg)
+
+
+@pytest.mark.parametrize("orientation", ["null_score", "raw_score"])
+def test_detect_names_the_first_bad_score_row_by_row(orientation):
+    # cells are numbered as load_matrix_csv and as_finite number them: the
+    # bad cell in the earlier row is named, though its timestep is later
+    scores = np.random.default_rng(5).random((5, 8))
+    scores[0, 5], scores[3, 1] = -0.25, 2.0
+    cfg = DetectConfig(bfdr=BfdrConfig(q=0.2, k=10), orientation=orientation)
+    named = "scores: row 1, column 6: -0.25 is not a score in [0, 1]"
     with pytest.raises(ValueError, match=re.escape(named)):
         detect(scores, None, cfg)
 

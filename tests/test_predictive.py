@@ -122,6 +122,17 @@ def test_student_t_predictive_validation():
             StudentTPredictive(dof, 0.0, 1.0)
 
 
+def test_t_cdf_refuses_a_dof_past_the_accuracy_ceiling():
+    # a prior alpha of 1e8 gives dof 2e8 + 30, where the t-CDF was off
+    # scipy.stats.t.cdf by 1.8e-8; the predictive path inherits its refusal
+    data = np.random.default_rng(0).normal(size=30)
+    pred = posterior_predictive(nig_update(NigParams(0.0, 1e-4, 1e8, 1e8), data))
+    with pytest.raises(ValueError, match=r"finite dof in \(0, 524288.0\], got 200000030.0"):
+        t_cdf(pred, 1.0)
+    with pytest.raises(ValueError, match="finite dof"):
+        score(pred, 1.0)
+
+
 def test_predictive_cdf_monte_carlo_oracle():
     # sample (mu, s2) from the posterior, then x | mu, s2; the predictive CDF
     # must match the empirical CDF within binomial error

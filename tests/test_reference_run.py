@@ -1,4 +1,4 @@
-"""The paired ratios and line counts of scripts/reference_run.py."""
+"""The paired ratios, line counts and stage names of scripts/reference_run.py."""
 import importlib.util
 import json
 import os
@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from predfdr import cli
 
 path = Path(__file__).resolve().parents[1] / "scripts" / "reference_run.py"
 spec = importlib.util.spec_from_file_location("reference_run", path)
@@ -93,3 +95,10 @@ def test_src_lines_count_each_tree_s_package_modules(tmp_path):
         (tree / "scripts" / "run.py").write_text("z\n" * 3)
     assert reference_run._src_lines(parent) == 3
     assert reference_run._src_lines(change) == 2
+
+
+def test_every_stage_is_a_callable_of_predfdr_cli():
+    # the driver times only the STAGES names predfdr.cli has, and skips the
+    # rest silently, so a renamed stage would drop out of the record
+    for name in reference_run.STAGES:
+        assert callable(getattr(cli, name, None)), name

@@ -1,5 +1,6 @@
 """Accuracy and invariance tests for the incomplete beta and Student-t CDF."""
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -76,6 +77,11 @@ def test_betainc_domain_errors():
     ]:
         with pytest.raises(ValueError, match=f"finite {name} > 0"):
             betainc(a, b, 0.5)
+    # past a + b = 2**18 + 1/2 the log-beta prefactor cancels: (0.5, 5e7) was
+    # off by 1.8e-8 and (1e8, 1e8) failed to converge; both name the shapes
+    for a, b, x in [(0.5, 5e7, 1e-8), (1e8, 1e8, 0.50001)]:
+        with pytest.raises(ValueError, match=re.escape(f"a + b <= 262144.5, got a={a}, b={b}")):
+            betainc(a, b, x)
 
 
 def test_betainc_rejects_nan():
@@ -380,9 +386,11 @@ def test_t_cdf_parameter_errors():
     with pytest.raises(ValueError):
         student_t_cdf(0.0, 2.0, scale=0.0)
     # an infinite dof would give 0.5 at x=1, not the normal limit 0.841, and
-    # a NaN parameter would give NaN; both are named instead
+    # a NaN parameter would give NaN; both are named instead, as is a dof past
+    # the accuracy ceiling 2**19 (1e16 gave 0.50000001)
     for kwargs, name in [
         ({"dof": math.inf}, "dof"), ({"dof": math.nan}, "dof"),
+        ({"dof": 2.0**19 * (1 + 2**-52)}, "dof"), ({"dof": 1e16}, "dof"),
         ({"dof": 2.0, "loc": math.nan}, "loc"), ({"dof": 2.0, "loc": -math.inf}, "loc"),
         ({"dof": 2.0, "scale": math.nan}, "scale"), ({"dof": 2.0, "scale": math.inf}, "scale"),
     ]:
