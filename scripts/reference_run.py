@@ -4,14 +4,14 @@ Each run simulates the paper's panel (``predfdr simulate --seed 0``: m=1000
 series, t=2000, lag 30) and runs CLI ``detect`` on it with every other
 option at its default, each in a fresh interpreter.  The two trees run in
 alternating order, ``--runs`` rounds of one run each.  The report holds each
-run's wall time and peak RSS, the summed wall time of the stages
+run's wall time, peak RSS and minor page faults, the summed wall time of the stages
 ``predfdr.cli`` calls (those of ``STAGES`` the tree's ``predfdr.cli`` has),
 their medians per side, and a byte comparison of every file written against
 the parent's first run.  Runs use relative paths, so manifests compare too.
 
 The two runs of a round share the host's load of the moment, so the report
 also pairs them: per round, the change/parent ratio of wall time, of peak
-RSS and of each stage both trees time, and of ``csv_loads``, the summed
+RSS, of minor page faults and of each stage both trees time, and of ``csv_loads``, the summed
 time of the ``load_*`` stages (every CSV read); the median of those ratios,
 and the number of rounds the change won.
 On a shared host the per-side medians can drift by more than a change moves
@@ -67,8 +67,8 @@ sum(i * i for i in range(2**20))
 """
 
 # Runs one subcommand in this interpreter and prints its wall time, peak RSS,
-# the control task's time and, for detect, the summed wall time of each stage
-# predfdr.cli calls.
+# the minor page faults main() took, the control task's time and, for detect,
+# the summed wall time of each stage predfdr.cli calls.
 DRIVER = """
 import json, resource, sys, time
 from predfdr import cli
@@ -88,12 +88,13 @@ for name in stages:
 t0 = time.perf_counter()
 exec(%r, {})
 control = time.perf_counter() - t0
+flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 t0 = time.perf_counter()
 code = cli.main(sys.argv[1:])
 wall = time.perf_counter() - t0
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"code": code, "wall_s": wall, "peak_rss_mb": rss, "control_s": control,
-                  "stages_s": stages}))
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(json.dumps({"code": code, "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024,
+                  "minflt": usage.ru_minflt - flt, "control_s": control, "stages_s": stages}))
 """ % (STAGES, CONTROL)
 
 
@@ -129,6 +130,7 @@ def _one_run(tree: Path, cwd: Path) -> dict:
     return {
         "wall_s": round(det["wall_s"], 3),
         "peak_rss_mb": round(det["peak_rss_mb"], 1),
+        "minflt": det["minflt"],
         "control_s": round(det["control_s"], 4),
         "stages_s": {k: round(v, 4) for k, v in det["stages_s"].items()},
         "simulate": {
@@ -145,6 +147,7 @@ def _median(runs: list) -> dict:
     return {
         "wall_s": med(lambda r: r["wall_s"], 3),
         "peak_rss_mb": med(lambda r: r["peak_rss_mb"], 1),
+        "minflt": med(lambda r: r["minflt"], 1),
         "control_s": med(lambda r: r["control_s"], 4),
         "stages_s": {s: med(lambda r: r["stages_s"][s], 4) for s in runs[0]["stages_s"]},
         "simulate": {
@@ -155,8 +158,9 @@ def _median(runs: list) -> dict:
 
 
 def _paired(runs: dict) -> dict:
-    """Per round, the change's wall time, peak RSS, control time (where the
-    runs record one) and time in each stage over the parent's; the median
+    """Per round, the change's wall time, peak RSS, minor page faults and
+    control time (where the runs record them) and time in each stage over
+    the parent's; the median
     ratio, and the rounds the change won (a ratio below 1).  Stages are
     those both trees time, and csv_loads."""
     rounds = list(zip(runs["parent"], runs["change"]))
@@ -175,6 +179,8 @@ def _paired(runs: dict) -> dict:
     parent, change = (side["stages_s"] for side in rounds[0])
     stages = {s: pair(lambda r, s=s: r["stages_s"][s]) for s in change if s in parent}
     paired = {name: pair(lambda r, name=name: r[name]) for name in ("wall_s", "peak_rss_mb")}
+    if "minflt" in rounds[0][0]:
+        paired["minflt"] = pair(lambda r: r["minflt"])
     if "control_s" in rounds[0][0]:
         paired["control"] = pair(lambda r: r["control_s"])
     return {**paired, "stages_s": {**stages, "csv_loads": pair(csv_loads)}}
@@ -235,7 +241,8 @@ def main(argv=None) -> int:
                 "wall time of the calls predfdr.cli makes to it (load_matrix_csv covers "
                 "data.csv, and truth.csv too where the tree has no load_truth_csv), timed by "
                 "wrapping those module attributes; "
-                "peak_rss_mb is resource.getrusage(RUSAGE_SELF).ru_maxrss of that interpreter; "
+                "peak_rss_mb is resource.getrusage(RUSAGE_SELF).ru_maxrss of that interpreter, "
+                "and minflt the growth of its ru_minflt (minor page faults) during main(); "
                 "simulate is timed the same way in an interpreter of its own"
             ),
             "host": (
@@ -249,10 +256,10 @@ def main(argv=None) -> int:
                 "shift of the host's speed that moves every stage's ratio at once"
             ),
             "paired": (
-                "per round, the change's wall_s, peak_rss_mb, control_s and time in each stage "
-                "both trees time over the parent's in the same round (csv_loads sums the load_* "
-                "stages, every CSV read); the median of those ratios, and the rounds the change "
-                "won (ratio < 1)"
+                "per round, the change's wall_s, peak_rss_mb, minflt, control_s and time in each "
+                "stage both trees time over the parent's in the same round (csv_loads sums the "
+                "load_* stages, every CSV read); the median of those ratios, and the rounds the "
+                "change won (ratio < 1)"
             ),
             "outputs": (
                 f"the {len(names)} files of every run (simulate's and detect's, manifests "

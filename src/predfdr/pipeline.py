@@ -64,11 +64,11 @@ class DetectConfig:
         return [BfdrConfig(float(q), b.a, b.k, b.algorithm) for q in qs]
 
 
-# Cells per t-CDF call: its continued fraction holds about 10 doubles a cell,
-# 2.5 MB at 2**15, near a 2 MiB L2 cache; parts of 2**16 (5.0 MB) set
-# wide_scoring's peak memory and ran about 9 % slower (2 shared cores).
-# Window cells per moment block: blocks of 2**15 made wide_scoring's scoring
-# 3-4 % slower.
+# Cells per t-CDF call: it peaks at about 8 doubles a cell, 2.1 MB at 2**15,
+# near a 2 MiB L2 cache; parts of 2**16 set wide_scoring's peak memory and
+# ran about 9 % slower (2 shared cores), parts of 2**14 made paper-scale
+# scoring 6.5 % slower.  Window cells per moment block: blocks of 2**15 made
+# wide_scoring's scoring 3-4 % slower.
 _CDF_CELLS = 2**15
 _MOMENT_CELLS = 2**16
 
@@ -86,11 +86,12 @@ def lagged_scores(
     includes the scored observation.  Window moments are taken over blocks
     of about 2**16 / lag series, one timestep at a time across every
     timestep, so a block's windows stay in cache; each series is still
-    reduced on its own, so blocking does not change a digit.  Every window
-    has lag observations, so the t-CDF's dof is the same throughout, and it
-    then runs in place over the whole result, in the fewest parts of at
-    most 2**15 cells, all of one size but a smaller last one, so its
-    temporaries stay near the size of a 2 MiB L2 cache.
+    reduced on its own, so blocking does not change a digit, and centred in
+    one buffer, freed before the t-CDF runs.  Every window has lag
+    observations, so the t-CDF's dof is the same throughout, and it then
+    runs in place over the whole result, in the fewest parts of at most
+    2**15 cells, all of one size but a smaller last one, so its temporaries,
+    about 8 doubles a cell, stay near the size of a 2 MiB L2 cache.
 
     Every cell, and the prior mean, must be finite, with lag (2|x|)^2
     (nu + lag + 1) at most half the largest float, so no window's moments or
@@ -137,6 +138,7 @@ def lagged_scores(
         )
     out = np.empty((m, t_len - lag))
     rows = max(1, _MOMENT_CELLS // lag)
+    buf = np.empty((min(rows, m), lag))  # every block's centred windows
     for r0 in range(0, m, rows):
         block = vals[r0 : r0 + rows]
         if not (-bound <= block.min() and block.max() <= bound):  # NaN fails too
@@ -145,10 +147,12 @@ def lagged_scores(
                 f"values: row {r0 + r + 1}, column {c + 1}: {float(block[r, c])!r} is not a "
                 f"finite number within +-{bound!r}, past which lag-{lag} window moments overflow"
             )
+        win_buf = buf[: len(block)]
         for t in range(lag, t_len):
             out[r0 : r0 + rows, t - lag], dof = _window_z(
-                prior, block[:, t - lag : t], block[:, t]
+                prior, block[:, t - lag : t], block[:, t], win_buf
             )
+    del buf, win_buf
     z = out.reshape(-1)
     parts = -(-z.size // _CDF_CELLS)
     part = -(-z.size // parts)

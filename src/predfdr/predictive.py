@@ -56,13 +56,16 @@ class StudentTPredictive:
             raise ValueError("StudentTPredictive requires finite scale > 0")
 
 
-def _posterior(prior: NigParams, win: np.ndarray):
+def _posterior(prior: NigParams, win: np.ndarray, buf=None):
     """Conjugate update of ``prior`` on each window along the last axis of
     ``win``; returns (mu_n, nu_n, alpha_n, beta_n), the scalars shared by all
-    windows and the means and rates shaped ``win.shape[:-1]``."""
+    windows and the means and rates shaped ``win.shape[:-1]``.  The windows
+    are centred and squared in ``buf``, shaped like ``win``, or in a new
+    array; the digits are the same either way."""
     n = win.shape[-1]
     xbar = win.mean(axis=-1)
-    ssd = ((win - xbar[..., None]) ** 2).sum(axis=-1)
+    dev = np.subtract(win, xbar[..., None], out=buf)
+    ssd = np.square(dev, out=dev).sum(axis=-1)
     nu_n = prior.nu + n
     mu_n = (prior.nu * prior.mu0 + n * xbar) / nu_n
     alpha_n = prior.alpha + n / 2.0
@@ -80,10 +83,11 @@ def _orient(f, two_sided: bool):
     return abs(2.0 * f - 1.0) if two_sided else f
 
 
-def _window_z(prior: NigParams, win: np.ndarray, x: np.ndarray):
+def _window_z(prior: NigParams, win: np.ndarray, x: np.ndarray, buf=None):
     """Standardise each x[...] against the predictive fitted on win[..., :];
-    returns (z, dof), with the dof shared by all windows."""
-    mu_n, nu_n, alpha_n, beta_n = _posterior(prior, win)
+    returns (z, dof), with the dof shared by all windows; ``buf`` as in
+    _posterior."""
+    mu_n, nu_n, alpha_n, beta_n = _posterior(prior, win, buf)
     return (x - mu_n) / _scale(nu_n, alpha_n, beta_n), 2.0 * alpha_n
 
 

@@ -7,6 +7,9 @@ scalar recurrence.  Of the loop's six doubles per lane, four sit in two
 (2, N) blocks, the Lentz terms (d, c) and the coefficient with a scratch row
 (aa, buf), so one call updates or floors both Lentz terms; the second block
 doubles as the floor's scratch.  Lanes needing the same shapes share a loop.
+The log-beta prefactors, and the t-CDF's result, are formed only once the
+loops are done, and a side whose every point is interior is read in place,
+not copied, so a t-CDF call peaks at about 8 doubles a cell.
 """
 from __future__ import annotations
 
@@ -132,10 +135,8 @@ def _betainc_array(a: float, b: float, x, y=()) -> list:
             outs[i] = np.empty_like(v)
             continue
         interior = (v > 0.0) & (v < 1.0)
-        vi = v[interior]
-        lg = math.lgamma(p + q) - math.lgamma(p) - math.lgamma(q)
-        # front is overwritten by the result, lane by lane
-        front = np.exp(lg + p * np.log(vi) + q * np.log1p(-vi))
+        # a 1-d view when every lane is interior (a 0-d v included), else a copy
+        vi = v.reshape(-1) if interior.all() else v[interior]
         direct = vi < (p + 1.0) / (p + q + 2.0)
         # the lanes on each side: direct ones take cf(p, q), flipped ones
         # cf(q, p) through the symmetry identity
@@ -144,7 +145,7 @@ def _betainc_array(a: float, b: float, x, y=()) -> list:
             if part.size:
                 lanes[key].append(part)
                 sides.append((key, flipped))
-        jobs.append((i, interior, front, direct, sides))
+        jobs.append((i, p, q, interior, vi, direct, sides))
         del vi, part
     runs = {}
     for key in [k for k, parts in lanes.items() if parts]:
@@ -152,7 +153,11 @@ def _betainc_array(a: float, b: float, x, y=()) -> list:
         # the parts go as one temporary, so they are freed before the loop runs
         cf = _beta_cont_frac(*key, np.concatenate(lanes.pop(key)))
         runs[key] = iter([cf[end - n : end] for end, n in zip(accumulate(sizes), sizes)])
-    for i, interior, front, direct, sides in jobs:
+    for i, p, q, interior, vi, direct, sides in jobs:
+        lg = math.lgamma(p + q) - math.lgamma(p) - math.lgamma(q)
+        # formed after the loops, so it is not part of their working set;
+        # front is overwritten by the result, lane by lane
+        front = np.exp(lg + p * np.log(vi) + q * np.log1p(-vi))
         for key, flipped in sides:
             sel = ~direct if flipped else direct
             r = next(runs[key]) * front[sel] / key[0]
@@ -216,8 +221,10 @@ def student_t_cdf(x, dof: float, loc: float = 0.0, scale: float = 1.0):
     if not 0.0 < scale < math.inf:
         raise ValueError(f"student_t_cdf requires finite scale > 0, got {scale}")
     # z or w = z * z may overflow to inf, a tail of exactly 0 or 1
+    z = np.atleast_1d(np.asarray(x, dtype=float))
     with np.errstate(over="ignore"):
-        z = np.atleast_1d((np.asarray(x, dtype=float) - loc) / scale)
+        if loc != 0.0 or scale != 1.0:  # both are exact at (0, 1): no copy then
+            z = (z - loc) / scale
         w = z * z
     neg = z <= 0.0
     centre = w < dof
@@ -228,10 +235,12 @@ def student_t_cdf(x, dof: float, loc: float = 0.0, scale: float = 1.0):
     # here dof / (dof + w) is at most one half; z = +/-inf gives an argument
     # of exactly 0 and a half-tail of exactly 0
     tail_arg = dof / (dof + w[tail])
-    # only the beta arguments stay alive through the continued fractions
+    # only the beta arguments stay alive through the continued fractions,
+    # and the result is allocated once they are gone too
     del z, w
-    out = np.empty_like(neg, dtype=float)
     t, half = _betainc_array(0.5, dof / 2.0, centre_arg, tail_arg)
+    del centre_arg, tail_arg
+    out = np.empty_like(neg, dtype=float)
     out[centre] = np.where(neg[centre], 0.5 - 0.5 * t, 0.5 + 0.5 * t)
     half *= 0.5
     out[tail] = np.where(neg[tail], half, 1.0 - half)

@@ -28,6 +28,7 @@ from predfdr.pipeline import (
 from predfdr.files import write_matrix_csv, write_report
 from predfdr.predictive import (
     NigParams,
+    _posterior,
     _window_z,
     _z_scores,
     nig_update,
@@ -102,11 +103,11 @@ def test_lagged_scores_row_blocks_cover_every_series_once(monkeypatch, two_sided
     blocks = {}
     window_z = pipeline._window_z
 
-    def spy(prior, win, x):
+    def spy(prior, win, x, buf):
         # x is vals[r0:r1, t]: its offset in vals gives the first series and t
         r0, t = divmod((x.__array_interface__["data"][0] - start) // vals.itemsize, 40)
         blocks.setdefault(t, []).append((r0, r0 + x.size))
-        return window_z(prior, win, x)
+        return window_z(prior, win, x, buf)
 
     monkeypatch.setattr(pipeline, "_MOMENT_CELLS", 36)
     monkeypatch.setattr(pipeline, "_window_z", spy)
@@ -292,10 +293,13 @@ def test_lagged_scores_refuse_a_lag_past_the_t_cdf_dof_cap():
         lagged_scores(vals, DIFFUSE_PRIOR, 2**19 + 1)
 
 
-def test_lagged_scores_working_set_is_bounded():
-    # the t-CDF holds about 10 doubles a cell: parts of 2**15 cells peak near
-    # 2.7 MB above the result on this 2**17-cell panel, where parts of 2**16
-    # peaked near 5.4 MB
+def test_lagged_scores_working_set_is_bounded(monkeypatch):
+    # moment blocks of 2184 and 1912 series share one (2184, 30) buffer for
+    # their centred windows, freed before the t-CDF runs; the t-CDF holds
+    # about 7.9 doubles a cell: parts of 2**15 cells peak near 2.2 MB above
+    # the result on this 2**17-cell panel, where parts of 2**16 peaked near
+    # 5.4 MB, and the t-CDF with its result allocated before its continued
+    # fraction near 2.7 MB
     vals = np.random.default_rng(5).standard_normal((4096, 62))
     tracemalloc.start()
     try:
@@ -304,7 +308,68 @@ def test_lagged_scores_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert scores.size == 2**17
-    assert peak - scores.nbytes < 12 * 8 * 2**15
+    assert peak - scores.nbytes < 9 * 8 * 2**15
+    # with the t-CDF left out, the moments hold one window buffer and
+    # per-block vectors
+    monkeypatch.setattr(pipeline, "_z_scores", lambda z, dof, two_sided: z)
+    tracemalloc.start()
+    try:
+        z = lagged_scores(vals, DIFFUSE_PRIOR, 30, two_sided=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - z.nbytes < 1.5 * 8 * 2184 * 30
+
+
+@pytest.mark.parametrize(
+    "lag, m, cells",
+    [(1, 3, 2**16), (6, 3, 2**16), (1, 13, 4), (6, 13, 24)],
+    ids=["lag1-one-block", "lag6-one-block", "lag1-partial-block", "lag6-partial-block"],
+)
+def test_window_buffer_gives_the_allocating_formula_s_bytes(monkeypatch, lag, m, cells):
+    # every block's centred windows go through one (min(rows, m), lag)
+    # buffer, a partial last block through its first rows; the scores, and
+    # each window's posterior, keep the bytes of the allocating formula and
+    # of nig_update, and neither the values nor the standardised cells the
+    # t-CDF is given change under it
+    vals = gen_data(SimSpec(m=m, t_len=30, lag=lag, outlier_rate=0.1, seed=13)).values
+    before = vals.copy()
+    bufs = set()
+    window_z = pipeline._window_z
+
+    def spy(prior, win, x, buf):
+        assert buf.shape == win.shape and buf.flags.c_contiguous
+        bufs.add(buf.__array_interface__["data"][0])
+        return window_z(prior, win, x, buf)
+
+    cdf = special.student_t_cdf
+
+    def untouched(z, *args):
+        z_before = z.copy()
+        out = cdf(z, *args)
+        assert z.tobytes() == z_before.tobytes()
+        return out
+
+    monkeypatch.setattr(pipeline, "_MOMENT_CELLS", cells)
+    monkeypatch.setattr(pipeline, "_window_z", spy)
+    monkeypatch.setattr(special, "student_t_cdf", untouched)
+    scores = lagged_scores(vals, DIFFUSE_PRIOR, lag)
+    assert vals.tobytes() == before.tobytes()
+    assert len(bufs) == 1
+    expect = np.empty_like(scores)
+    buf = np.full((m, lag), np.nan)
+    for t in range(lag, 30):
+        win = vals[:, t - lag : t]
+        expect[:, t - lag] = _z_scores(*_window_z(DIFFUSE_PRIOR, win, vals[:, t]), False)
+        mu, nu, alpha, beta = _posterior(DIFFUSE_PRIOR, win, buf)
+        assert [mu.tobytes(), beta.tobytes()] == [
+            v.tobytes() for v in _posterior(DIFFUSE_PRIOR, win)[::3]
+        ]
+        for j in range(m):
+            assert nig_update(DIFFUSE_PRIOR, win[j]) == NigParams(
+                float(mu[j]), nu, alpha, float(beta[j])
+            )
+    assert scores.tobytes() == expect.tobytes()
 
 
 def test_custom_prior_changes_scores(panel):

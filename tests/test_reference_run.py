@@ -66,6 +66,28 @@ def test_paired_control_ratio():
     assert list(paired) == ["wall_s", "peak_rss_mb", "control", "stages_s"]
 
 
+def test_paired_minor_page_fault_ratio():
+    # each run's minor page faults pair like its peak RSS, as paired.minflt,
+    # and the per-side median holds them too
+    runs = {
+        "parent": [dict(run(4.0, 100.0, load_matrix_csv=1.0), minflt=800, control_s=0.2),
+                   dict(run(5.0, 100.0, load_matrix_csv=1.0), minflt=700, control_s=0.2)],
+        "change": [dict(run(3.0, 100.0, load_matrix_csv=1.0), minflt=200, control_s=0.2),
+                   dict(run(6.0, 90.0, load_matrix_csv=1.0), minflt=875, control_s=0.2)],
+    }
+    paired = reference_run._paired(runs)
+    assert paired["minflt"] == {
+        "change_over_parent": [0.25, 1.25],
+        "median_ratio": 0.75,
+        "rounds_change_won": 1,
+    }
+    assert list(paired) == ["wall_s", "peak_rss_mb", "minflt", "control", "stages_s"]
+    for side in runs.values():
+        for r in side:
+            r["simulate"] = {"wall_s": 1.0, "peak_rss_mb": 50.0}
+    assert reference_run._median(runs["parent"])["minflt"] == 750.0
+
+
 def test_each_child_times_a_control_task_that_uses_nothing_of_predfdr(tmp_path):
     # in a fresh interpreter the task imports no predfdr module; each child
     # reports its time next to the subcommand's
@@ -78,6 +100,8 @@ def test_each_child_times_a_control_task_that_uses_nothing_of_predfdr(tmp_path):
                           env=env, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["code"] == 0 and result["control_s"] > 0.0
+    # the subcommand's minor page faults are recorded beside its peak RSS
+    assert isinstance(result["minflt"], int) and result["minflt"] >= 0
 
 
 def test_src_lines_count_each_tree_s_package_modules(tmp_path):
