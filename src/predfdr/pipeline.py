@@ -64,8 +64,8 @@ class DetectConfig:
         return [BfdrConfig(float(q), b.a, b.k, b.algorithm) for q in qs]
 
 
-# Cells per t-CDF call: it peaks at about 8 doubles a cell, 2.1 MB at 2**15,
-# near a 2 MiB L2 cache; parts of 2**16 set wide_scoring's peak memory and
+# Cells per t-CDF call: it peaks at about 5.6 doubles a cell, 1.5 MB at 2**15,
+# within a 2 MiB L2 cache; parts of 2**16 set wide_scoring's peak memory and
 # ran about 9 % slower (2 shared cores), parts of 2**14 made paper-scale
 # scoring 6.5 % slower.  Window cells per moment block: blocks of 2**15 made
 # wide_scoring's scoring 3-4 % slower.
@@ -91,7 +91,7 @@ def lagged_scores(
     observations, so the t-CDF's dof is the same throughout, and it then
     runs in place over the whole result, in the fewest parts of at most
     2**15 cells, all of one size but a smaller last one, so its temporaries,
-    about 8 doubles a cell, stay near the size of a 2 MiB L2 cache.
+    about 5.6 doubles a cell, stay within a 2 MiB L2 cache.
 
     Every cell, and the prior mean, must be finite, with lag (2|x|)^2
     (nu + lag + 1) at most half the largest float, so no window's moments or

@@ -1,15 +1,16 @@
 """Regularized incomplete beta function and the Student-t CDF built on it.
 
 The continued fraction is evaluated with the modified Lentz algorithm in
-double precision.  A converged lane is frozen by zeroing its x, which makes
-every later term exactly 1, so vectorised calls give the same digits as the
-scalar recurrence.  Of the loop's six doubles per lane, four sit in two
-(2, N) blocks, the Lentz terms (d, c) and the coefficient with a scratch row
-(aa, buf), so one call updates or floors both Lentz terms; the second block
-doubles as the floor's scratch.  Lanes needing the same shapes share a loop.
-The log-beta prefactors, and the t-CDF's result, are formed only once the
-loops are done, and a side whose every point is interior is read in place,
-not copied, so a t-CDF call peaks at about 8 doubles a cell.
+double precision.  It owns the array of lanes it is given and freezes a
+converged lane by zeroing its x, which makes every later term exactly 1, so
+vectorised calls give the same digits as the scalar recurrence.  Its five
+doubles per lane are x, h, the coefficient aa, which also takes delta, and
+the Lentz terms (d, c), one (2, N) block, so one call updates or floors
+both.  Lanes needing the same shapes share a loop.  Only the beta arguments
+and the t-CDF's centre mask are held across the loops; the other masks, the
+log-beta prefactors and the t-CDF's result are formed once they are done,
+and a side whose every point is interior is read in place, not copied, so a
+t-CDF call peaks at about 5.6 doubles a cell.
 """
 from __future__ import annotations
 
@@ -29,61 +30,50 @@ _MAX_ITER = 500
 _MAX_DOF = 2.0**19
 
 
-def _floor(v: np.ndarray, buf: np.ndarray, small: np.ndarray) -> None:
-    """Raise entries of v below _FPMIN in magnitude to _FPMIN, in place;
-    ``buf`` and ``small`` are scratch arrays shaped like v."""
-    np.abs(v, buf)
-    np.less(buf, _FPMIN, small)
-    np.copyto(v, _FPMIN, where=small)
+def _floor(v: np.ndarray) -> None:
+    """Raise entries of v below _FPMIN in magnitude to _FPMIN, in place.
+    Its |.| scratch and mask are built per call: in the loop it runs only
+    when a term needs it, which lanes routed to their small side rarely do."""
+    np.copyto(v, _FPMIN, where=np.abs(v) < _FPMIN)
 
 
 def _beta_cont_frac(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """Continued fraction part of the incomplete beta integral.
 
-    ``a`` and ``b`` are scalars, ``x`` an array whose entries satisfy
+    ``a`` and ``b`` are scalars, ``x`` a float array whose entries satisfy
     ``x < (a + 1) / (a + b + 2)`` (the caller routes the other branch through
     the symmetry identity).  Every update is written in place into a fixed
     set of arrays shaped like ``x``, applying the recurrence's operations in
-    their usual order, so the working set stays six doubles per lane.
+    their usual order, so the working set stays five doubles per lane.
 
-    It works on a private copy of ``x`` (a temporary argument is freed once
-    copied) and freezes a converged lane by setting its x to 0: from the
-    next half-step on ``aa`` is +/-0 and ``d``, ``c`` and ``delta`` are
-    exactly 1, so ``h`` is updated unmasked, in 24 numpy calls per
-    iteration that needs no floor.  A NaN ``delta`` fails ``delta < eps``:
-    its lane keeps running.
+    The function owns ``x`` and overwrites it: it freezes a converged lane
+    by setting its x to 0, so from the next half-step on ``aa`` is +/-0 and
+    ``d``, ``c`` and ``delta`` are exactly 1, and ``h`` is updated unmasked,
+    in 24 numpy calls per iteration that needs no floor.  A NaN ``delta``
+    fails ``delta < eps``: its lane keeps running.
 
     The Lentz terms ``d`` and ``c`` are the two rows of one (2, ...) block,
     so each half-step adds one and applies the floor to both in one call
     each.  The floor runs only when the block's minimum is not at least
     ``_FPMIN`` (some entry is below it, negative or NaN); otherwise it would
-    change nothing, so one reduction stands in for its three calls.  The
-    coefficient ``aa`` and a scratch row ``buf`` are the rows of a
-    second block, which serves as the floor's |.| scratch: both rows are dead
-    by the time the floor runs.  The blocks stay separate rather than one
-    (4, ...) array, since at a few thousand lanes a single block would cross
-    the allocator's 128 KiB mmap threshold and raise peak RSS.  The floor's
-    mask ``small`` is a (2, ...) bool block whose first row also takes the
-    convergence test.
+    change nothing, so one reduction stands in for it.  ``delta`` is formed
+    in ``aa``, which is dead from the second half-step's last use until the
+    convergence mask is turned into the next x factor.
     """
-    x = np.array(x, dtype=float)
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    # mask first: allocating (d, c) first measured about 50 KB more peak
-    # RSS on the benchmark's paper_detect job
-    small = np.empty((2,) + x.shape, dtype=bool)
-    ab = np.empty((2,) + x.shape)
-    aa, buf = ab
-    cd = np.empty_like(ab)
+    aa = np.empty_like(x)
+    cd = np.empty((2,) + x.shape)
     d, c = cd
     c.fill(1.0)
     np.multiply(qab, x, d)
     d /= qap
     np.subtract(1.0, d, d)
-    _floor(cd, ab, small)  # c is 1, so only d can move
+    _floor(d)
     np.divide(1.0, d, d)
     h = d.copy()
+    converged = np.empty(x.shape, dtype=bool)
     for it in range(1, _MAX_ITER + 1):
         m2 = 2 * it
         np.multiply(it * (b - it), x, aa)
@@ -93,7 +83,7 @@ def _beta_cont_frac(a: float, b: float, x: np.ndarray) -> np.ndarray:
         np.divide(aa, c, c)
         cd += 1.0
         if not np.minimum.reduce(cd, axis=None) >= _FPMIN:
-            _floor(cd, ab, small)
+            _floor(cd)
         np.divide(1.0, d, d)
         h *= d
         h *= c
@@ -103,14 +93,14 @@ def _beta_cont_frac(a: float, b: float, x: np.ndarray) -> np.ndarray:
         np.divide(aa, c, c)
         cd += 1.0
         if not np.minimum.reduce(cd, axis=None) >= _FPMIN:
-            _floor(cd, ab, small)
+            _floor(cd)
         np.divide(1.0, d, d)
-        delta = np.multiply(d, c, buf)
+        delta = np.multiply(d, c, aa)
         h *= delta
         delta -= 1.0
         np.abs(delta, delta)
         # x *= 0.0 where delta < eps, else (a NaN delta too) 1.0
-        converged = np.less(delta, _EPS, small[0])
+        np.less(delta, _EPS, converged)
         np.logical_not(converged, aa)
         x *= aa
         if converged.all():
@@ -139,21 +129,29 @@ def _betainc_array(a: float, b: float, x, y=()) -> list:
         vi = v.reshape(-1) if interior.all() else v[interior]
         direct = vi < (p + 1.0) / (p + q + 2.0)
         # the lanes on each side: direct ones take cf(p, q), flipped ones
-        # cf(q, p) through the symmetry identity
+        # cf(q, p) through the symmetry identity; both are new arrays
         sides = []
         for key, flipped, part in (((p, q), False, vi[direct]), ((q, p), True, 1.0 - vi[~direct])):
             if part.size:
                 lanes[key].append(part)
                 sides.append((key, flipped))
-        jobs.append((i, p, q, interior, vi, direct, sides))
-        del vi, part
+        jobs.append((i, p, q, vi, sides))
+        # the masks are rebuilt after the loops, so they are not held by them
+        del interior, vi, direct, part
     runs = {}
     for key in [k for k, parts in lanes.items() if parts]:
-        sizes = [part.size for part in lanes[key]]
-        # the parts go as one temporary, so they are freed before the loop runs
-        cf = _beta_cont_frac(*key, np.concatenate(lanes.pop(key)))
+        parts = lanes.pop(key)
+        sizes = [part.size for part in parts]
+        # the loop overwrites the array it is given, a new one: the lone
+        # part, or the parts' concatenation, so the parts are freed before
+        # it runs; popped, so the loop holds its only reference
+        if len(parts) > 1:
+            parts = [np.concatenate(parts)]
+        cf = _beta_cont_frac(*key, parts.pop())
         runs[key] = iter([cf[end - n : end] for end, n in zip(accumulate(sizes), sizes)])
-    for i, p, q, interior, vi, direct, sides in jobs:
+    for i, p, q, vi, sides in jobs:
+        v = outs[i]
+        direct = vi < (p + 1.0) / (p + q + 2.0)
         lg = math.lgamma(p + q) - math.lgamma(p) - math.lgamma(q)
         # formed after the loops, so it is not part of their working set;
         # front is overwritten by the result, lane by lane
@@ -162,11 +160,10 @@ def _betainc_array(a: float, b: float, x, y=()) -> list:
             sel = ~direct if flipped else direct
             r = next(runs[key]) * front[sel] / key[0]
             front[sel] = 1.0 - r if flipped else r
-        v = outs[i]
         out = np.full_like(v, np.nan)  # NaN lanes stay NaN
         out[v <= 0.0] = 0.0
         out[v >= 1.0] = 1.0
-        out[interior] = front
+        out[(v > 0.0) & (v < 1.0)] = front
         outs[i] = out
     return outs
 
@@ -226,23 +223,26 @@ def student_t_cdf(x, dof: float, loc: float = 0.0, scale: float = 1.0):
         if loc != 0.0 or scale != 1.0:  # both are exact at (0, 1): no copy then
             z = (z - loc) / scale
         w = z * z
-    neg = z <= 0.0
+    del z
     centre = w < dof
-    tail = ~centre
     # mass between -|z| and |z|; the argument w / (dof + w) stays below one
     # half, so forming it directly loses nothing
     centre_arg = w[centre] / (dof + w[centre])
     # here dof / (dof + w) is at most one half; z = +/-inf gives an argument
     # of exactly 0 and a half-tail of exactly 0
-    tail_arg = dof / (dof + w[tail])
-    # only the beta arguments stay alive through the continued fractions,
-    # and the result is allocated once they are gone too
-    del z, w
+    tail_arg = dof / (dof + w[~centre])
+    # only the beta arguments and the centre mask stay alive through the
+    # continued fractions, and the result is allocated once they are done
+    del w
     t, half = _betainc_array(0.5, dof / 2.0, centre_arg, tail_arg)
     del centre_arg, tail_arg
+    # z <= 0 read off the input: z has the sign of x - loc but where it
+    # underflows to 0, and there w is 0, t is 0 and both branches give 0.5
+    neg = np.atleast_1d(np.asarray(x, dtype=float)) <= loc
     out = np.empty_like(neg, dtype=float)
     out[centre] = np.where(neg[centre], 0.5 - 0.5 * t, 0.5 + 0.5 * t)
     half *= 0.5
+    tail = ~centre
     out[tail] = np.where(neg[tail], half, 1.0 - half)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(out[0])

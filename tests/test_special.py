@@ -126,7 +126,8 @@ def _lentz_lane(a, b, x):
 
 def _assert_kernel_matches_oracle(a, b, x):
     x = np.asarray(x, dtype=float)
-    got = kernel._beta_cont_frac(a, b, x)
+    # the kernel overwrites the lanes it is given, so it gets a copy
+    got = kernel._beta_cont_frac(a, b, x.copy())
     want = np.array([_lentz_lane(a, b, float(v))[0] for v in x.ravel()]).reshape(x.shape)
     assert got.shape == x.shape
     # bit for bit, so a reordered operation anywhere in the kernel shows
@@ -157,7 +158,7 @@ def test_beta_cont_frac_floors_a_zero_first_denominator():
     x = np.array([0.1, 0.5, 0.3])
     assert [_lentz_lane(1.0, 3.0, v)[1] for v in x] == [False, True, False]
     _assert_kernel_matches_oracle(1.0, 3.0, x)
-    assert np.isfinite(kernel._beta_cont_frac(1.0, 3.0, x)).all()
+    assert np.isfinite(kernel._beta_cont_frac(1.0, 3.0, x.copy())).all()
 
 
 def test_beta_cont_frac_runs_the_exact_floor_where_a_term_goes_negative(monkeypatch):
@@ -269,26 +270,64 @@ def test_t_cdf_huge_arguments_give_exact_tails_without_warning():
                 assert student_t_cdf(v, 3.0, loc, scale) == w
 
 
-def test_callers_inputs_are_left_untouched():
-    # the continued fraction zeroes the x of converged lanes in place, so it
-    # must only ever see a copy of what a caller passed; at loc 0 and scale 1
-    # the t-CDF standardises nothing, and when every lane is interior betainc
-    # takes no copy of its points, so both then work on views of the input
+def test_callers_inputs_are_left_untouched(monkeypatch):
+    # the continued fraction overwrites the lanes it is given, so it must
+    # only ever get an array built for it: a lone part itself, or the
+    # parts' concatenation; at loc 0 and scale 1 the t-CDF standardises
+    # nothing, and when every lane is interior betainc takes no copy of its
+    # points, so both then work on views of the input
+    loops = []
+    cont_frac = kernel._beta_cont_frac
+
+    def spied(a, b, v):
+        assert not np.shares_memory(v, x)
+        loops.append((a, b))
+        return cont_frac(a, b, v)
+
+    monkeypatch.setattr(kernel, "_beta_cont_frac", spied)
     rng = np.random.default_rng(21)
     panel = rng.standard_t(5.0, size=(30, 20)) * 2.0
-    for x in (panel.ravel(), np.array(1.7), panel[::3, 1::2]):
+    # the two one-part paths of the t-CDF: every lane central and on the
+    # direct side, and every lane in the tails
+    for x, want in (
+        (panel.ravel(), None),
+        (np.array(1.7), None),
+        (panel[::3, 1::2], None),
+        (panel * 1e-3, [(0.5, 2.5)]),
+        (panel[::3, 1::2] * 1e3, [(2.5, 0.5)]),
+    ):
         for loc, scale in ((0.2, 1.5), (0.0, 1.0)):
             before = x.copy()
+            loops.clear()
             student_t_cdf(x, 5.0, loc, scale)
             assert x.tobytes() == before.tobytes()
+            assert want is None or loops == want
+    # betainc(2.5, 0.5) routes points below 3.5 / 5 = 0.7 directly: each
+    # side's loop then gets its lone part, with every lane direct, every
+    # lane flipped, or both
     probs = rng.uniform(0.0, 1.0, size=(30, 20))
     mixed = probs.copy()
     mixed[::7, ::3] = 0.0
     mixed[1::7, ::3] = 1.0
-    for x in (probs.ravel(), np.array(0.3), probs[::3, 1::2], mixed, np.array(1.0)):
+    direct = probs * 0.6
+    flipped = 0.75 + 0.2 * probs
+    for x, want in (
+        (probs.ravel(), [(2.5, 0.5), (0.5, 2.5)]),
+        (np.array(0.3), [(2.5, 0.5)]),
+        (probs[::3, 1::2], [(2.5, 0.5), (0.5, 2.5)]),
+        (mixed, [(2.5, 0.5), (0.5, 2.5)]),
+        (np.array(1.0), []),
+        (direct, [(2.5, 0.5)]),
+        (direct[::3, 1::2], [(2.5, 0.5)]),
+        (flipped, [(0.5, 2.5)]),
+        (flipped[::3, 1::2], [(0.5, 2.5)]),
+        (np.array(0.9), [(0.5, 2.5)]),
+    ):
         before = x.copy()
+        loops.clear()
         betainc(2.5, 0.5, x)
         assert x.tobytes() == before.tobytes()
+        assert loops == want
 
 
 def test_t_cdf_at_loc_0_and_scale_1_matches_the_standardised_route():
@@ -304,6 +343,17 @@ def test_t_cdf_at_loc_0_and_scale_1_matches_the_standardised_route():
     for point, want in ((probs[0], whole[0]), (0.0, 0.0), (1.0, 1.0)):
         got = betainc(2.5, 0.5, np.array(point))
         assert type(got) is float and got == want
+
+
+def test_t_cdf_reads_each_lane_s_side_off_its_input():
+    # the side is taken as x <= loc once the continued fractions are done:
+    # (x - loc) / scale has that sign but where it underflows to 0, and
+    # there the lane is central with an argument of 0, which gives exactly
+    # one half on either side
+    tiny = np.array([5e-324, -5e-324, 1e-323, -1e-323, 0.0, -0.0])
+    assert student_t_cdf(tiny, 5.0, 0.0, 4.0).tolist() == [0.5] * 6
+    near = np.array([np.nextafter(0.7, 1.0), np.nextafter(0.7, 0.0), 0.7])
+    assert student_t_cdf(near, 5.0, 0.7, 1e-300).tolist() == [1.0, 0.0, 0.5]
 
 
 def test_t_cdf_runs_one_continued_fraction_per_shape_pair(monkeypatch):
@@ -390,9 +440,10 @@ def test_t_cdf_nan_in_nan_out(monkeypatch):
 def test_t_cdf_working_set_is_bounded():
     # the scorer calls the CDF on parts of pipeline._CDF_CELLS cells (2**15),
     # so its temporaries count against peak memory; the allocating form
-    # peaked near 16 doubles per cell, the in-place one near 9.9, and with
-    # the result and the log-beta prefactors formed after the continued
-    # fraction it holds about 7.9
+    # peaked near 16 doubles per cell, the in-place one near 9.9, with the
+    # result and the log-beta prefactors formed after the continued fraction
+    # 7.9, and with the loop overwriting the lanes it is given, its delta in
+    # the coefficient's array and no mask held across it, about 5.6
     x = np.random.default_rng(4).standard_t(30.0, size=pipeline._CDF_CELLS) * 1.2
     tracemalloc.start()
     try:
@@ -400,7 +451,7 @@ def test_t_cdf_working_set_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9 * 8 * x.size
+    assert peak < 6.5 * 8 * x.size
 
 
 def test_t_cdf_parameter_errors():
